@@ -8,6 +8,7 @@ module is safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 _SIEVE_LIMIT = 10**6
@@ -30,7 +31,7 @@ def sieve_primes() -> tuple[int, ...]:
             if sieve[p]:
                 start = p * p
                 sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-        _sieve_primes = tuple(i for i, v in enumerate(sieve) if v)
+        _sieve_primes = tuple(compress(range(n + 1), sieve))
     return _sieve_primes
 
 
@@ -39,17 +40,17 @@ def _spf_table() -> bytearray:
     global _spf
     if _spf is None:
         n = _SIEVE_LIMIT
+        root = isqrt(n)
+        small = bytearray(b"\x01") * (root + 1)
+        for p in range(2, isqrt(root) + 1):
+            if small[p]:
+                small[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+        primes = list(compress(range(2, root + 1), small[2:]))  # 168 of them: indices fit a byte
         table = bytearray(n)  # 0 means "n itself is prime (or < 2)"
-        primes = []
-        for p in range(2, isqrt(n) + 1):
-            if table[p] == 0:
-                primes.append(p)
-                idx = len(primes)  # 1-based
-                if idx > 255:
-                    break
-                for m in range(p * p, n, p):
-                    if table[m] == 0:
-                        table[m] = idx
+        # Largest prime first, so every composite ends up holding its smallest one.
+        for idx in range(len(primes), 0, -1):
+            p = primes[idx - 1]
+            table[p * p :: p] = bytes((idx,)) * len(range(p * p, n, p))
         _spf_primes[:] = primes
         _spf = table
     return _spf
@@ -78,6 +79,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_ell(ell: int, name: str = "ell") -> None:
+    """Raise ValueError unless ell is a prime > 3, the moduli for which 12*H
+    congruences are taken (gcd(12, ell) = 1); `name` labels the message."""
+    if ell <= 3 or not is_prime(ell):
+        raise ValueError(f"{name} must be a prime > 3")
 
 
 def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7) -> int:

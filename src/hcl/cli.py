@@ -3,7 +3,11 @@
 Subcommands wrap the library operations; the Hurwitz table cache is a CSV
 file (header `D,twelveH`) whose default location can be overridden with the
 HCL_TABLE environment variable or the --table flag.  A missing or too-short
-cache is rebuilt automatically with a warning on stderr.
+cache is rebuilt automatically with a warning on stderr.  The cache is
+written atomically (a temporary file beside it, then a rename) and checked on
+every load; a damaged cache is never overwritten: the command exits 2 with a
+message naming the defect and asking to delete the file or rebuild it with
+`hcl table`.
 
 Exit codes: 0 success, 1 congruence fails / verdict inconclusive,
 2 usage or I/O error.
@@ -52,12 +56,14 @@ def _config(args) -> Config:
 
 
 def _load_table(cfg: Config) -> HurwitzTable:
-    """Read the table cache, rebuilding (and persisting) it when missing or short."""
+    """Read and check the table cache, rebuilding (and persisting) it when
+    missing or short.  A cache that fails its checks is left in place and
+    raises SystemExit2."""
     if os.path.exists(cfg.table_path):
         try:
             table = read_table_csv(cfg.table_path)
         except ValueError as exc:
-            raise SystemExit2(f"{exc}")
+            raise SystemExit2(f"{exc}; delete the file or rebuild it with `hcl table`")
         if table.n_max >= cfg.n_max:
             return table
         print(

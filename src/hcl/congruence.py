@@ -9,14 +9,13 @@ was verified and never claim a proof.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
 import numpy as np
 
-from .arith import factorize, is_prime, ord_p, sqrt_mod
+from .arith import check_ell, factorize, is_prime, ord_p, sqrt_mod
 from .hurwitz import HurwitzTable
 
 __all__ = [
@@ -60,11 +59,6 @@ class CongruenceCertificate:
     maximal_up_to_check: bool
 
 
-def _check_ell(ell: int) -> None:
-    if ell <= 3 or not is_prime(ell):
-        raise ValueError("ell must be a prime > 3")
-
-
 def verify_congruence(
     ell: int, a: int, b: int, n_max: int, table: HurwitzTable
 ) -> tuple[bool, int | None]:
@@ -72,7 +66,7 @@ def verify_congruence(
 
     Returns (True, None) on success, else (False, least failing value a*n+b).
     """
-    _check_ell(ell)
+    check_ell(ell)
     if a < 1 or not 0 <= b < a:
         raise ValueError("need a >= 1 and 0 <= b < a")
     if n_max > table.n_max:
@@ -102,8 +96,18 @@ def _has_discriminant_support(a: int, b: int) -> bool:
     return True
 
 
+_SCREEN_ROWS = 64
+
+
 def _passing_residues(nz_any: np.ndarray, a: int, n_max: int) -> list[int]:
-    return [b for b in range(a) if not nz_any[b::a].any()]
+    """Residues b mod a whose progression b, b + a, ... has no True entry.
+
+    One reshaped prefix of _SCREEN_ROWS rows rules out most residues in a
+    single call; only the survivors are scanned along the whole progression.
+    """
+    rows = min(_SCREEN_ROWS, nz_any.size // a)
+    hit = nz_any[: rows * a].reshape(rows, a).any(axis=0)
+    return [b for b in np.flatnonzero(~hit).tolist() if not nz_any[b::a].any()]
 
 
 def search(
@@ -116,7 +120,7 @@ def search(
     Progressions containing no discriminants at all (identically zero H) are
     excluded from the output.
     """
-    _check_ell(ell)
+    check_ell(ell)
     if n_max < 100 * a_max:
         raise ValueError("need n_max >= 100 * a_max for a meaningful search")
     if n_max > table.n_max:
@@ -129,6 +133,8 @@ def search(
         return [(a, b) for b in _passing_residues(nz, a, n_max)]
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded searches pay its import
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(scan, range(1, a_max + 1)):
                 passing.update(chunk)

@@ -20,7 +20,6 @@ from .arith import (
     kronecker,
     ord_p,
     p_part,
-    sigma1,
 )
 from .congruence import verify_congruence
 from .hurwitz import HurwitzTable
@@ -104,9 +103,15 @@ def hecke_condition(D: int, f: int, p: int, ell: int) -> int:
     if not is_fundamental(D):
         raise ValueError(f"-{D} is not a fundamental discriminant")
     fp = p_part(f, p)
+    return _hecke_residue(fp, kronecker(-D, p), p, ell)
+
+
+def _hecke_residue(fp: int, kr: int, p: int, ell: int) -> int:
+    """hecke_condition's residue from f_p = p^e and kr = (-D|p), with
+    sigma1(p^e) = (p^(e+1) - 1) / (p - 1) in closed form."""
     if fp == 1:
         return 1 % ell
-    return (sigma1(fp) - kronecker(-D, p) * sigma1(fp // p)) % ell
+    return ((fp * p - 1) // (p - 1) - kr * ((fp - 1) // (p - 1))) % ell
 
 
 def check_assumptions(a: int, b: int) -> AssumptionReport:
@@ -137,7 +142,8 @@ def enumerate_representations(
         for p in primes:
             fp = p_part(dec.f, p)
             kr = kronecker(-dec.D, p)
-            residue = hecke_condition(dec.D, dec.f, p, ell) if ell else None
+            # dec.D is fundamental by construction, so hecke_condition's check is skipped
+            residue = _hecke_residue(fp, kr, p, ell) if ell else None
             per_prime[p] = PrimeLocalData(fp, kr, residue)
         rows.append(RepresentationRow(n, dec.D, dec.f, per_prime))
     return rows

@@ -8,7 +8,8 @@ valid on 12*H directly since gcd(12, ell) = 1.
 
 from __future__ import annotations
 
-import csv
+import contextlib
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -132,50 +133,135 @@ def build_table(n_max: int) -> HurwitzTable:
     """Table of 12*H(D) for all D <= n_max in one sweep over form triples.
 
     For each (a, b) with 0 <= b <= a the discriminants 4ac - b^2, c >= a,
-    form an arithmetic progression handled as a strided slice update.
+    form an arithmetic progression with step 4a.  Cut into rows of length
+    4a, every progression of a given a has started by row a + 1, so from
+    there on they add up to one periodic weight row, added to all those rows
+    at once; the terms below row a + 1 are added point by point.  The sums
+    are taken in int32 (12*H(D) stays below 10^7 for D <= 10^8, against
+    2^31) and widened to int64 at the end, so the build briefly holds 12
+    bytes per D.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > 10**8:
         raise ValueError("n_max beyond the supported 10^8 memory bound")
-    values = np.zeros(n_max + 1, dtype=np.int64)
+    table = np.empty(n_max + 1, dtype=np.int64)
+    values = np.zeros(n_max + 1, dtype=np.int32)
     values[0] = -1
     for a in range(1, isqrt(n_max // 3) + 1):
-        base = 4 * a * a
-        for b in range(0, a + 1):
-            first = base - b * b  # D at c = a
-            if first > n_max:
-                continue
-            if b == a:
-                w_eq, w_gen = 4, 12
-            elif b == 0:
-                w_eq, w_gen = 6, 12
-            else:
-                w_eq, w_gen = 12, 24
-            values[first] += w_eq
-            if first + 4 * a <= n_max:
-                values[first + 4 * a :: 4 * a] += w_gen
-    return HurwitzTable(n_max, values)
+        step = 4 * a
+        b = np.arange(a + 1)
+        first = step * a - b * b  # D at c = a
+        b, first = b[first <= n_max], first[first <= n_max]
+        w_eq = np.where(b == a, 4, np.where(b == 0, 6, 12))
+        w_gen = np.where((b == 0) | (b == a), 12, 24)
+        head_end = min((a + 1) * step, n_max + 1)
+        count = np.maximum((head_end - 1 - first) // step, 0)  # terms with c > a before head_end
+        # k runs 1..count[i] for each b[i], all b side by side
+        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
+        at = np.concatenate((first, np.repeat(first, count) + step * k))
+        weights = np.concatenate((w_eq, np.repeat(w_gen, count))).astype(np.int32)
+        np.add.at(values, at, weights)
+        rows = (n_max + 1) // step
+        if rows > a:
+            period = np.bincount(first % step, weights=w_gen, minlength=step).astype(np.int32)
+            body = values[: rows * step].reshape(rows, step)[a + 1 :]
+            body += period
+            tail = values[rows * step :]
+            tail += period[: tail.size]
+    table[:] = values
+    return HurwitzTable(n_max, table)
+
+
+_HEADER = b"D,twelveH"
+_CHUNK = 2**14  # rows formatted per write; bounds the memory the text needs
+_SAMPLE_SIZE = 12
 
 
 def write_table_csv(table: HurwitzTable, path) -> None:
-    """Persist the table as CSV with header `D,twelveH`, one row per D."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["D", "twelveH"])
-        for D in range(table.n_max + 1):
-            writer.writerow([D, int(table.values[D])])
+    """Persist the table as CSV with header `D,twelveH`, one row per D, each
+    line ended by CRLF.
+
+    The text goes to a temporary file beside `path` that then replaces `path`
+    in one step, so readers see either the old file or the whole new one.  The
+    temporary file is removed when any step fails.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")  # outside the try: on a name clash the other file stays
+    try:
+        with fh:
+            fh.write(_HEADER + b"\r\n")
+            for start in range(0, table.n_max + 1, _CHUNK):
+                block = table.values[start : start + _CHUNK]
+                Ds = np.arange(start, start + block.size)
+                cells = np.column_stack((Ds, block)).ravel().tolist()
+                fh.write(b"%d,%d\r\n" * block.size % tuple(cells))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _sample_points(n_max: int) -> list[int]:
+    """D values re-enumerated when a table is loaded: n_max and its halvings
+    n_max / 2^k, moved alternately to D == 0 and D == 3 (mod 4), where
+    12*H(D) > 0.  An enumeration costs about D steps, so the whole sample
+    costs about two enumerations at n_max."""
+    points = {n_max}
+    for k in range(1, _SAMPLE_SIZE):
+        D = n_max >> k
+        points.add(D - D % 4 - k % 2)
+    return sorted(D for D in points if D > 0)
 
 
 def read_table_csv(path) -> HurwitzTable:
-    """Read a table written by write_table_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["D", "twelveH"]:
-            raise ValueError(f"{path}: not a Hurwitz table cache (bad header {header})")
-        rows = [(int(d), int(v)) for d, v in reader]
-    if not rows or [d for d, _ in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: table rows must enumerate D = 0..n_max")
-    values = np.array([v for _, v in rows], dtype=np.int64)
-    return HurwitzTable(len(rows) - 1, values)
+    """Read a table written by write_table_csv, checking it on the way.
+
+    Raises ValueError naming the path and the defect when the header is not
+    `D,twelveH`, the file does not end in a newline (the last row was cut
+    off), a row is not two integers, the rows do not enumerate D = 0..n_max,
+    12*H(0) != -1, a value is nonzero at D == 1, 2 (mod 4) or not positive at
+    another D > 0, or a value at a fixed sample of D (always including n_max)
+    differs from direct enumeration.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header.rstrip(b"\r\n") != _HEADER:
+            raise ValueError(f"{path}: not a Hurwitz table cache (bad header {header[:40]!r})")
+        if fh.seek(0, os.SEEK_END) == len(header):
+            raise ValueError(f"{path}: table cache has no rows")
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            raise ValueError(f"{path}: last row is cut off (no final newline)")
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed row: {exc}") from None
+    n_max = rows.shape[0] - 1
+    if n_max < 0:  # only blank lines after the header
+        raise ValueError(f"{path}: table cache has no rows")
+    wrong = np.flatnonzero(rows[:, 0] != np.arange(n_max + 1))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(
+            f"{path}: row {i + 1} holds D = {rows[i, 0]}; rows must enumerate D = 0..n_max"
+        )
+    values = rows[:, 1].copy()
+    if values[0] != -1:
+        raise ValueError(f"{path}: 12*H(0) = {values[0]}, expected -1")
+    for r in (1, 2, 3, 4):
+        vanishes = r in (1, 2)
+        bad = np.flatnonzero(values[r::4] != 0 if vanishes else values[r::4] <= 0)
+        if bad.size:
+            D = r + 4 * int(bad[0])
+            rule = "must be 0 at D == 1, 2 (mod 4)" if vanishes else "must be positive"
+            raise ValueError(f"{path}: 12*H({D}) = {values[D]} {rule}")
+    for D in _sample_points(n_max):
+        expected = _twelve_h_enumerate(D)
+        if values[D] != expected:
+            raise ValueError(f"{path}: 12*H({D}) = {values[D]}, enumeration gives {expected}")
+    return HurwitzTable(n_max, values)

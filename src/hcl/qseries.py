@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import is_prime, sqrt_mod
+from .arith import check_ell, sqrt_mod
 from .hurwitz import HurwitzTable
 
 __all__ = [
@@ -129,8 +129,7 @@ class ModLSeries:
     coeffs: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.modulus <= 3 or not is_prime(self.modulus):
-            raise ValueError("modulus must be a prime > 3")
+        check_ell(self.modulus, "modulus")
         clean = {i: v % self.modulus for i, v in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {i: v for i, v in clean.items() if v})
 
@@ -217,8 +216,7 @@ def multiply(x: QSeries, y: QSeries) -> QSeries:
 
 def reduce_mod(x: QSeries, ell: int) -> ModLSeries:
     """Coefficientwise reduction mod ell; denominators must be prime to ell."""
-    if ell <= 3 or not is_prime(ell):
-        raise ValueError("ell must be a prime > 3")
+    check_ell(ell)
     out: dict[int, int] = {}
     for idx, val in x.coeffs.items():
         if val.denominator % ell == 0:

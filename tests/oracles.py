@@ -5,7 +5,10 @@ no sieve, no factorization shortcuts.  They stay correct for small inputs and
 slow everywhere else.
 """
 
+import csv
 from math import gcd, isqrt
+
+import numpy as np
 
 
 def hurwitz_twelve_brute(D: int) -> int:
@@ -34,6 +37,45 @@ def hurwitz_twelve_brute(D: int) -> int:
                 total += 12
         a += 1
     return total
+
+
+def build_table_strided_reference(n_max: int) -> list[int]:
+    """12*H(D) for D <= n_max by the plain form sweep: one strided slice per
+    (a, b), adding weight at D = 4ac - b^2 for every c >= a."""
+    values = np.zeros(n_max + 1, dtype=np.int64)
+    values[0] = -1
+    for a in range(1, isqrt(n_max // 3) + 1):
+        for b in range(a + 1):
+            first = 4 * a * a - b * b
+            if first > n_max:
+                continue
+            at_c_eq_a, beyond = (4, 12) if b == a else (6, 12) if b == 0 else (12, 24)
+            values[first] += at_c_eq_a
+            values[first + 4 * a :: 4 * a] += beyond
+    return values.tolist()
+
+
+def write_table_csv_reference(values, path) -> None:
+    """The table cache as the csv module writes it: header `D,twelveH`, one
+    row per D, CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["D", "twelveH"])
+        for D, v in enumerate(values):
+            writer.writerow([D, int(v)])
+
+
+def read_table_csv_reference(path) -> list[int]:
+    """The values column of a `D,twelveH` cache, row by row with the csv module."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["D", "twelveH"]:
+            raise ValueError(f"{path}: bad header {header}")
+        rows = [(int(d), int(v)) for d, v in reader]
+    if [d for d, _ in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: rows must enumerate D = 0..n_max")
+    return [v for _, v in rows]
 
 
 def sqrt_mod_brute(x: int, m: int) -> list[int]:

@@ -4,8 +4,10 @@ from math import gcd
 import pytest
 
 import oracles
+from hcl import arith
 from hcl.arith import (
     Factorization,
+    check_ell,
     factorize,
     fundamental_decomposition,
     is_fundamental,
@@ -41,6 +43,15 @@ def test_factorize_matches_brute():
     for _ in range(300):
         n = rng.randrange(1, 10**6)
         assert list(factorize(n).factors) == oracles.factor_brute(n), n
+
+
+def test_spf_table_holds_smallest_prime_factors():
+    table, primes = arith._spf_table(), arith._spf_primes
+    rng = random.Random(3)
+    ns = list(range(2, 3000)) + [rng.randrange(3000, 10**6) for _ in range(1000)] + [10**6 - 1]
+    for n in ns:
+        spf = primes[table[n] - 1] if table[n] else n
+        assert spf == oracles.factor_brute(n)[0][0], n
 
 
 def test_factorize_large_cofactors():
@@ -232,3 +243,21 @@ def test_next_prime_in_class():
     assert next_prime_in_class(5, 0, 1) == 7
     with pytest.raises(ValueError):
         next_prime_in_class(4, 0, 4, cap=10**4)  # multiples of 4 are never prime
+
+
+def test_check_ell_is_the_one_prime_gt_3_rule():
+    from hcl.congruence import verify_congruence
+    from hcl.hurwitz import build_table
+    from hcl.qseries import ModLSeries, QSeries, reduce_mod
+
+    for ell in (5, 7, 11, 13, 10007):
+        check_ell(ell)
+    for ell in (-5, 0, 1, 2, 3, 4, 9, 25):
+        with pytest.raises(ValueError, match=r"^ell must be a prime > 3$"):
+            check_ell(ell)
+    with pytest.raises(ValueError, match=r"^ell must be a prime > 3$"):
+        verify_congruence(9, 4, 3, 10, build_table(10))
+    with pytest.raises(ValueError, match=r"^ell must be a prime > 3$"):
+        reduce_mod(QSeries(1, 5, {}), 3)
+    with pytest.raises(ValueError, match=r"^modulus must be a prime > 3$"):
+        ModLSeries(4, 1, 5, {})

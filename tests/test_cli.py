@@ -195,3 +195,17 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--ell", "5"])
     assert exc.value.code == 2
+
+
+def test_verify_refuses_truncated_cache(tmp_path, capsys):
+    path = tmp_path / "cut.csv"
+    write_table_csv(build_table(4999), path)
+    cut = path.read_bytes()[:20000]  # cut off inside the row of D = 2383
+    path.write_bytes(cut)
+    code, out, err = run(
+        capsys, "verify", "--ell", "17", "--a", "2384", "--b", "2383",
+        "--n-max", "2383", "--table", str(path),
+    )
+    assert code == 2 and "verified" not in out
+    assert "cut off" in err and "hcl table" in err
+    assert path.read_bytes() == cut

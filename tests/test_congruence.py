@@ -2,10 +2,12 @@ import json
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 import oracles
 from hcl.congruence import (
+    _passing_residues,
     ArithmeticProgression,
     CongruenceCertificate,
     HolomorphicClass,
@@ -119,6 +121,16 @@ def test_search_suppresses_subprogressions(table_small):
 def test_search_requires_confidence_floor(table_small):
     with pytest.raises(ValueError):
         search(5, 125, 12000, table_small)
+
+
+def test_passing_residues_matches_plain_scan():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 2000)  # also below a and below a * 64 rows
+        nz = np.array([rng.random() < rng.random() ** 6 for _ in range(n)])
+        a = rng.randrange(1, 80)
+        plain = [b for b in range(a) if not nz[b::a].any()]
+        assert _passing_residues(nz, a, n - 1) == plain, (n, a)
 
 
 def test_search_deterministic_and_jobs_equivalent(table_small):

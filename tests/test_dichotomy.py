@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import oracles
 from hcl.congruence import verify_congruence
 from hcl.dichotomy import (
     DichotomyCase,
@@ -79,6 +80,17 @@ def test_hecke_condition_examples():
 def test_hecke_condition_neutral_when_p_absent():
     assert hecke_condition(11, 5, 7, 5) == 1
     assert hecke_condition(3, 1, 3, 7) == 1
+
+
+@pytest.mark.parametrize("ell,a,b", [(5, 125, 25), (5, 27, 9), (7, 125, 50), (11, 512, 192)])
+def test_enumerated_residues_match_sigma_formula(ell, a, b):
+    for row in enumerate_representations(a, b, 20000, ell):
+        for p, local in row.per_prime.items():
+            fp = local.f_p
+            want = 1 % ell if fp == 1 else (
+                oracles.sigma_brute(fp) - local.kronecker * oracles.sigma_brute(fp // p)
+            ) % ell
+            assert local.hecke_residue == want == hecke_condition(row.D, row.f, p, ell)
 
 
 # ---------------------------

@@ -1,4 +1,8 @@
+import errno
+import io
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,6 +91,15 @@ def test_build_table_support_pattern():
     assert nonzero == {3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28}
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 11, 12, 13, 47, 48, 49, 50, 1000, 20000, 65537])
+def test_build_table_matches_strided_sweep(n_max):
+    """Row boundaries (n_max + 1 a multiple of 4a or not) are where the
+    periodic rows and the point-by-point head meet."""
+    t = build_table(n_max)
+    assert t.values.dtype == "int64"
+    assert t.values.tolist() == oracles.build_table_strided_reference(n_max)
+
+
 def test_build_table_matches_pointwise(table_1m):
     rng = random.Random(11)
     for _ in range(1000):
@@ -118,3 +131,87 @@ def test_table_csv_rejects_garbage(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ValueError):
         read_table_csv(path)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 50, 5000, 2**14])  # 2**14 + 1 rows cross a write chunk
+def test_table_csv_matches_csv_module_reference(tmp_path, n_max):
+    t = build_table(n_max)
+    ref = tmp_path / "ref.csv"
+    oracles.write_table_csv_reference(t.values, ref)
+    write_table_csv(t, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == ref.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "t.csv"]
+    back = read_table_csv(ref)
+    assert back.n_max == n_max and back.values.dtype == "int64"
+    assert back.values.tolist() == oracles.read_table_csv_reference(ref)
+
+
+def _edit_row(lines, D, cell):
+    lines[D + 1] = f"{D},{cell}".encode()
+
+
+def _damage(kind, values):
+    """Bytes of a 5000-row cache with one defect; the first three pass a
+    reader that only parses the rows and checks the D column."""
+    lines = [b"D,twelveH"] + [f"{D},{v}".encode() for D, v in enumerate(values.tolist())]
+    if kind == "cut mid-row":  # the last complete row is D = 2382
+        return b"".join(line + b"\r\n" for line in lines)[:20000]
+    if kind == "edited at n_max":
+        _edit_row(lines, 4999, values[4999] + 12)
+    elif kind == "nonzero at D == 1 (mod 4)":
+        _edit_row(lines, 2001, 12)
+    elif kind == "non-integer cell":
+        _edit_row(lines, 100, "12.5")
+    elif kind == "missing D row":
+        del lines[1234 + 1]
+    return b"".join(line + b"\r\n" for line in lines)
+
+
+DAMAGES = {  # kind -> the defect the reader must name
+    "cut mid-row": "cut off",
+    "edited at n_max": r"12\*H\(4999\) = \d+, enumeration gives",
+    "nonzero at D == 1 (mod 4)": r"12\*H\(2001\) = 12 must be 0",
+    "non-integer cell": "malformed row",
+    "missing D row": "row 1235 holds D = 1235",
+}
+
+
+@pytest.mark.parametrize("kind", list(DAMAGES))
+def test_read_table_csv_rejects_damaged_cache(tmp_path, kind):
+    path = tmp_path / "damaged.csv"
+    path.write_bytes(_damage(kind, build_table(4999).values))
+    with pytest.raises(ValueError, match=DAMAGES[kind]) as info:
+        read_table_csv(path)
+    assert str(path) in str(info.value)
+
+
+class _FullDisk(io.FileIO):
+    """A file whose disk fills up after 1000 bytes."""
+
+    def write(self, data):
+        room = 1000 - self.tell()
+        if len(data) > room:
+            super().write(data[:room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "rename failed")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_write_table_csv_is_atomic(tmp_path, monkeypatch, step):
+    path = tmp_path / "t.csv"
+    write_table_csv(build_table(50), path)
+    before = path.read_bytes()
+    module = sys.modules["hcl.hurwitz"]  # `hcl.hurwitz` the attribute is the function
+    if step == "write":
+        monkeypatch.setattr(module, "open", _FullDisk, raising=False)
+    else:
+        monkeypatch.setattr(module.os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        write_table_csv(build_table(5000), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.csv"]
