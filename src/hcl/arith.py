@@ -161,8 +161,12 @@ def divisors(n: int | Factorization) -> list[int]:
     fact = n if isinstance(n, Factorization) else factorize(n)
     divs = [1]
     for p, e in fact.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+        power = divs
+        for _ in range(e):
+            power = [d * p for d in power]
+            divs += power
+    divs.sort()
+    return divs
 
 
 def sigma1(n: int) -> int:

@@ -11,7 +11,11 @@ subprogression witness, but not in general: the factorization form has no
 same-parity condition on d1, d2 and pins the congruences to +beta only (see
 `test_routes_differ_in_general` and acceptance item A7).
 `q_subset_decomposition` regroups the factorization form by subsets of the
-prime divisors of a.  All values are exact integers or rationals.
+prime divisors of a.  `exact_projection_coefficient` sums 12H(a*n - k^2) over
+k == +-beta (mod a) straight from the table, which equals the product of the
+sieved `qseries` Eisenstein and theta series
+(`test_exact_projection_matches_qseries_composition`).  All values are exact
+integers or rationals.
 """
 
 from __future__ import annotations
@@ -20,17 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import (
-    Factorization,
-    divisors,
-    factorize,
-    is_prime,
-    next_prime_in_class,
-    ord_p,
-    sqrt_mod,
-)
+import numpy as np
+
+from .arith import divisors, factorize, is_prime, next_prime_in_class, ord_p, sqrt_mod
 from .hurwitz import HurwitzTable
-from .qseries import eisenstein_hol, theta_series, u_operator
 
 __all__ = [
     "proj_theta_product",
@@ -70,37 +67,42 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
             for m in (r, -r):
                 if (m - beta) % a == 0:
                     total += r
-    if an > 0:
+    # m^2 - mt^2 is never == 2 (mod 4)
+    if an > 0 and an % 4 != 2:
         for e in divisors(an):
             f = an // e
-            if e > f or (e - f) % 2:
+            if e >= f:  # e == f gives mt = 0, and the pairs past it repeat
+                break
+            if (e - f) % 2:
                 continue
             m0, mt0 = (e + f) // 2, (f - e) // 2
-            if mt0 == 0:
-                continue
             # each admissible sign pair contributes an / (|m| + |mt|) = e
-            for m in (m0, -m0):
-                for mt in (mt0, -mt0):
-                    if (m - beta) % a == 0 and (mt - beta_tilde) % a == 0:
-                        total += e
+            m_signs = ((m0 - beta) % a == 0) + ((m0 + beta) % a == 0)
+            mt_signs = ((mt0 - beta_tilde) % a == 0) + ((mt0 + beta_tilde) % a == 0)
+            total += e * m_signs * mt_signs
     return -4 * total
 
 
-def _root_classes(a: int, b: int) -> list[int]:
-    roots = sqrt_mod(-b, a)
-    if not roots:
-        raise ValueError(f"-{b} is not a square modulo {a}")
-    return roots
+def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
+    """The argument rule of the factorization form; returns a*n."""
+    if a < 1 or n < 1:
+        raise ValueError("need a >= 1 and n >= 1")
+    if (beta * beta + b) % a:
+        raise ValueError(f"beta^2 must be == -b (mod {a})")
+    an = a * n
+    r = isqrt(an)
+    if r * r == an:
+        raise ValueError(f"a*n = {an} is a perfect square")
+    return an
 
 
-def _factor_pair_sum(a: int, beta: int, n: int, roots: list[int], an_fact: Factorization) -> int:
+def _factor_pair_sum(a: int, beta: int, an: int, roots: list[int], divs: list[int]) -> int:
     total = 0
-    divs = divisors(an_fact)
     for bt in roots:
         r1 = (beta + bt) % a
         r2 = (beta - bt) % a
         for d1 in divs:
-            d2 = an_fact.n // d1
+            d2 = an // d1
             if d1 % a == r1 and d2 % a == r2 and d1 != d2:
                 total += min(d1, d2)
     return total
@@ -122,16 +124,8 @@ def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
     The two agree on the pinned tuples and at most distinguished indices; see
     test_routes_differ_in_general and acceptance item A7.
     """
-    if a < 1 or n < 1:
-        raise ValueError("need a >= 1 and n >= 1")
-    if (beta * beta + b) % a:
-        raise ValueError(f"beta^2 must be == -b (mod {a})")
-    an = a * n
-    r = isqrt(an)
-    if r * r == an:
-        raise ValueError(f"a*n = {an} is a perfect square")
-    roots = _root_classes(a, b)
-    total = _factor_pair_sum(a, beta, n, roots, factorize(an))
+    an = _check_factorization_args(a, b, beta, n)
+    total = _factor_pair_sum(a, beta, an, sqrt_mod(-b, a), divisors(an))
     if total % 2:
         raise ArithmeticError("factorization sum must be even")
     return -(total // 2)
@@ -167,14 +161,7 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
     the two classes +-beta; the subsets are then in bijection with the roots
     modulo a through the Chinese Remainder Theorem.
     """
-    if a < 1 or n < 1:
-        raise ValueError("need a >= 1 and n >= 1")
-    if (beta * beta + b) % a:
-        raise ValueError(f"beta^2 must be == -b (mod {a})")
-    an = a * n
-    r = isqrt(an)
-    if r * r == an:
-        raise ValueError(f"a*n = {an} is a perfect square")
+    an = _check_factorization_args(a, b, beta, n)
     a_fact = factorize(a)
     prime_powers = {p: p**e for p, e in a_fact.factors}
     for p, pe in prime_powers.items():
@@ -186,17 +173,14 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
                 f"not the two distinct classes +-{beta}; subset decomposition undefined"
             )
     primes = sorted(prime_powers)
-    an_fact = factorize(an)
+    # CRT idempotents: == 1 modulo p^e, == 0 modulo the other prime powers of a
+    idem = {p: (a // pe) * pow(a // pe, -1, pe) for p, pe in prime_powers.items()}
+    divs = divisors(an)
     contributions: dict[frozenset, int] = {}
     for mask in range(1 << len(primes)):
         subset = frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
-        residue, modulus = 0, 1
-        for p in primes:
-            pe = prime_powers[p]
-            target = beta % pe if p in subset else (-beta) % pe
-            residue += modulus * ((target - residue) * pow(modulus, -1, pe) % pe)
-            modulus *= pe
-        contributions[subset] = _factor_pair_sum(a, beta, n, [residue], an_fact)
+        bt = sum(idem[p] * (beta if p in subset else -beta) for p in primes) % a
+        contributions[subset] = _factor_pair_sum(a, beta, an, [bt], divs)
     return QSubsetDecomposition(a, b, beta, n, contributions)
 
 
@@ -304,19 +288,29 @@ def exact_projection_coefficient(
     """Coefficient at e(n*tau) of the full projected product: the holomorphic
     part of the sieved class number series times (theta_{a,beta} + theta_{a,-beta}),
     plus 1/16 of the completed-part contributions from proj_theta_product over
-    all square roots beta_tilde of -b mod a."""
+    all square roots beta_tilde of -b mod a.
+
+    The holomorphic part is the direct sum of 12H(a*n - k^2)/12 over k == beta
+    and over k == -beta (mod a), k^2 <= a*n, counting k twice when
+    2*beta == 0 (mod a), as the two theta series do.  As beta^2 == -b (mod a)
+    puts every a*n - k^2 in the class b, it equals the coefficient of the
+    q-series composition u_operator(eisenstein_hol(a*n + 1), a, b) * (thetas),
+    as test_exact_projection_matches_qseries_composition checks.
+    """
     if a < 1 or n < 0:
         raise ValueError("need a >= 1 and n >= 0")
     if (beta * beta + b) % a:
         raise ValueError(f"beta^2 must be == -b (mod {a})")
-    if a * n > table.n_max:
-        raise ValueError(f"table covers D <= {table.n_max}, need {a * n}")
-    bound = Fraction(a * n + 1, a)
-    sieved = u_operator(eisenstein_hol(a * n + 1, table), a, b)
-    thetas = theta_series(a, beta, bound) + theta_series(a, -beta, bound)
-    hol = (sieved * thetas).coefficient(n)
-    completed = 0
-    for bt in sqrt_mod(-b, a):
-        completed += proj_theta_product(a, bt, beta, n)
-        completed += proj_theta_product(a, bt, -beta, n)
-    return hol + Fraction(completed, 16)
+    an = a * n
+    if an > table.n_max:
+        raise ValueError(f"table covers D <= {table.n_max}, need {an}")
+    r = isqrt(an)
+    hol = 0
+    for c in (beta, -beta):
+        k = np.arange(-r + (c + r) % a, r + 1, a)
+        hol += int(table.values[an - k * k].sum())
+    completed = sum(
+        proj_theta_product(a, bt, beta, n) + proj_theta_product(a, bt, -beta, n)
+        for bt in sqrt_mod(-b, a)
+    )
+    return Fraction(hol, 12) + Fraction(completed, 16)

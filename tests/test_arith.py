@@ -8,6 +8,7 @@ from hcl import arith
 from hcl.arith import (
     Factorization,
     check_ell,
+    divisors,
     factorize,
     fundamental_decomposition,
     is_fundamental,
@@ -60,6 +61,13 @@ def test_factorize_large_cofactors():
     assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
     with pytest.raises(ValueError):
         factorize(1_000_003 * 1_000_033)  # composite cofactor beyond the sieve
+
+
+def test_divisors_matches_brute():
+    for n in range(1, 5001):
+        want = oracles.divisors_brute(n)
+        assert divisors(n) == want, n
+        assert divisors(factorize(n)) == want, n
 
 
 def test_sigma1_values():

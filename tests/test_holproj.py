@@ -17,6 +17,7 @@ from hcl.holproj import (
     subprogression_construct,
 )
 from hcl.hurwitz import build_table
+from hcl.qseries import eisenstein_hol, theta_series, u_operator
 
 
 def completed_part_sum(a, b, beta, n):
@@ -304,6 +305,40 @@ def test_exact_projection_decomposes(table_1m, generic_witnesses):
                     hol += weight * Fraction(table_1m.twelve_h(an - m * m), 12)
                 m -= w.a
         assert value == hol + completed, (w, n)
+
+
+def test_exact_projection_matches_qseries_composition():
+    # the direct theta sum against the sieved Eisenstein series times the two
+    # theta series, built with the public q-series API
+    def composition(a, b, beta, n, table):
+        bound = Fraction(a * n + 1, a)
+        sieved = u_operator(eisenstein_hol(a * n + 1, table), a, b)
+        thetas = theta_series(a, beta, bound) + theta_series(a, -beta, bound)
+        return (sieved * thetas).coefficient(n) + completed_part_sum(a, b, beta, n)
+
+    small = build_table(2000)
+    # 2*beta == 0 (mod a): one class, which both theta series count
+    doubled = [(1, 0, 0, 7), (1, 0, 0, 30), (2, 1, 1, 11), (2, 0, 0, 13), (4, 0, 0, 5),
+               (4, 0, 2, 7)]
+    # a*n = k^2 with k == +-beta (mod a): the term 12H(0) = -1
+    squares = [(1, 0, 0, 9), (4, 0, 2, 9), (9, 0, 3, 4), (9, 0, 3, 16), (8, 0, 4, 18),
+               (4, 0, 0, 4)]
+    zero = [(1, 0, 0, 0), (4, 0, 2, 0), (5, 4, 4, 0), (9, 0, 3, 0), (7, 3, 2, 0)]
+    distinct = [(5, 4, 1, 6), (5, 1, 2, 17), (12, 11, 1, 40), (15, 14, 1, 17)]
+    assert all((2 * beta) % a == 0 for a, _, beta, _ in doubled)
+    for a, _, beta, n in squares:
+        r = isqrt(a * n)
+        assert r * r == a * n and ((r - beta) % a == 0 or (r + beta) % a == 0)
+    for a, b, beta, n in doubled + squares + zero + distinct:
+        assert (b + beta * beta) % a == 0
+        value = exact_projection_coefficient(a, b, beta, n, small)
+        assert value == composition(a, b, beta, n, small), (a, b, beta, n)
+
+    table = build_table(120_000)
+    for a, beta, n in [(55, 1, 2000), (53, 7, 2003), (57, 10, 1999), (58, 29, 2000), (60, 30, 2000)]:
+        b = (-beta * beta) % a
+        value = exact_projection_coefficient(a, b, beta, n, table)
+        assert value == composition(a, b, beta, n, table), (a, b, beta, n)
 
 
 def test_exact_projection_constant_term():
