@@ -20,18 +20,21 @@ _spf_primes: list[int] = []
 _sqrt_tables: dict[int, dict[int, tuple[int, ...]]] = {}
 
 
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes p <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = bytearray(b"\x01") * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(compress(range(n + 1), sieve))
+
+
 def sieve_primes() -> tuple[int, ...]:
     """All primes up to 10^6, computed once."""
     global _sieve_primes
     if _sieve_primes is None:
-        n = _SIEVE_LIMIT
-        sieve = bytearray(b"\x01") * (n + 1)
-        sieve[:2] = b"\x00\x00"
-        for p in range(2, isqrt(n) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-        _sieve_primes = tuple(compress(range(n + 1), sieve))
+        _sieve_primes = primes_up_to(_SIEVE_LIMIT)
     return _sieve_primes
 
 
@@ -40,12 +43,7 @@ def _spf_table() -> bytearray:
     global _spf
     if _spf is None:
         n = _SIEVE_LIMIT
-        root = isqrt(n)
-        small = bytearray(b"\x01") * (root + 1)
-        for p in range(2, isqrt(root) + 1):
-            if small[p]:
-                small[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-        primes = list(compress(range(2, root + 1), small[2:]))  # 168 of them: indices fit a byte
+        primes = primes_up_to(isqrt(n))  # 168 of them: indices fit a byte
         table = bytearray(n)  # 0 means "n itself is prime (or < 2)"
         # Largest prime first, so every composite ends up holding its smallest one.
         for idx in range(len(primes), 0, -1):

@@ -97,6 +97,7 @@ def _has_discriminant_support(a: int, b: int) -> bool:
 
 
 _SCREEN_ROWS = 64
+_MASK_CHUNK = 1 << 20  # entries of the table reduced mod ell at a time by search
 
 
 def _passing_residues(nz_any: np.ndarray, a: int, n_max: int) -> list[int]:
@@ -125,7 +126,11 @@ def search(
         raise ValueError("need n_max >= 100 * a_max for a meaningful search")
     if n_max > table.n_max:
         raise ValueError(f"table covers D <= {table.n_max}, need {n_max}")
-    nz = (table.values[: n_max + 1] % ell) != 0
+    values = table.values[: n_max + 1]
+    nz = np.empty(values.size, dtype=bool)
+    # chunk by chunk, so the int64 remainders never take a table-sized temporary
+    for lo in range(0, values.size, _MASK_CHUNK):
+        np.not_equal(values[lo : lo + _MASK_CHUNK] % ell, 0, out=nz[lo : lo + _MASK_CHUNK])
 
     passing: set[tuple[int, int]] = set()
 

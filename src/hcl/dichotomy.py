@@ -3,23 +3,33 @@ the enumerated representations D*f^2 in the progression whether a Hecke-type
 condition at some prime p | a explains it, or whether the class numbers of the
 occurring fundamental discriminants are themselves divisible by ell.
 
+The representations are computed as int64 numpy columns over the whole
+progression, and the classifier decides on those columns.  The evidence a
+caller sees is a lazy read-only sequence over them: a RepresentationRow is
+built only when it is indexed, sliced or iterated.
+
 The verdict is evidence-bounded: rows are enumerated only up to n_max.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt
+from operator import index
+
+import numpy as np
 
 from .arith import (
     factorize,
-    fundamental_decomposition,
     is_fundamental,
     kronecker,
     ord_p,
     p_part,
+    primes_up_to,
 )
 from .congruence import verify_congruence
 from .hurwitz import HurwitzTable
@@ -84,6 +94,11 @@ class HeckeWitness:
 
 @dataclass(frozen=True)
 class DichotomyReport:
+    """classify's verdict with what it rests on.  evidence holds the rows of
+    enumerate_representations as a lazy read-only sequence over columns: its
+    len() is the row count, and rows are built only when indexed, sliced or
+    iterated."""
+
     ell: int
     a: int
     b: int
@@ -91,7 +106,7 @@ class DichotomyReport:
     case: DichotomyCase
     witness: HeckeWitness | None
     assumption_check: AssumptionReport
-    evidence: list[RepresentationRow]
+    evidence: Sequence[RepresentationRow]
     h_values: list[tuple[int, int]]  # (D, h(-D) mod ell) over fundamental rows D > 4
     prime_power_congruence: tuple[int, int, bool] | None  # (a_p, b mod a_p, verified)
 
@@ -106,11 +121,10 @@ def hecke_condition(D: int, f: int, p: int, ell: int) -> int:
     return _hecke_residue(fp, kronecker(-D, p), p, ell)
 
 
-def _hecke_residue(fp: int, kr: int, p: int, ell: int) -> int:
+def _hecke_residue(fp, kr, p: int, ell: int):
     """hecke_condition's residue from f_p = p^e and kr = (-D|p), with
-    sigma1(p^e) = (p^(e+1) - 1) / (p - 1) in closed form."""
-    if fp == 1:
-        return 1 % ell
+    sigma1(p^e) = (p^(e+1) - 1) / (p - 1) in closed form; it is 1 at f_p = 1.
+    fp and kr are ints or int64 arrays of equal shape."""
     return ((fp * p - 1) // (p - 1) - kr * ((fp - 1) // (p - 1))) % ell
 
 
@@ -125,28 +139,111 @@ def check_assumptions(a: int, b: int) -> AssumptionReport:
     return AssumptionReport(report)
 
 
+class _Representations(Sequence):
+    """Rows of enumerate_representations as int64 columns n, D, f, with
+    local[p] = (f_p, kronecker, hecke_residue) per p | a; hecke_residue is
+    None when no ell was given."""
+
+    def __init__(self, n, D, f, local):
+        self.n, self.D, self.f, self.local = n, D, f, local
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._rows(i)
+        i = index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("representation index out of range")
+        i %= len(self)
+        return self._rows(slice(i, i + 1))[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Representations)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    def _rows(self, sel: slice) -> list[RepresentationRow]:
+        local = {
+            p: zip(fp[sel].tolist(), kr[sel].tolist(), repeat(None) if res is None else res[sel].tolist())
+            for p, (fp, kr, res) in self.local.items()
+        }
+        return [
+            RepresentationRow(n, D, f, {p: PrimeLocalData(*next(data)) for p, data in local.items()})
+            for n, D, f in zip(self.n[sel].tolist(), self.D[sel].tolist(), self.f[sel].tolist())
+        ]
+
+
 def enumerate_representations(
     a: int, b: int, n_max: int, ell: int | None = None
-) -> list[RepresentationRow]:
+) -> Sequence[RepresentationRow]:
     """All n <= n_max in a*Z + b with -n a discriminant, decomposed as D*f^2
     with -D fundamental; rows sorted by n.  Local Hecke residues are filled in
-    when ell is given."""
+    when ell is given.
+
+    The rows are a lazy read-only sequence over int64 columns computed for the
+    whole progression at once; a RepresentationRow is built only when the
+    sequence is indexed, sliced or iterated.
+    """
     primes = [p for p, _ in factorize(a).factors]
-    rows = []
     start = b if b else a
-    for n in range(start, n_max + 1, a):
-        if n % 4 in (1, 2):
-            continue
-        dec = fundamental_decomposition(n)
-        per_prime = {}
-        for p in primes:
-            fp = p_part(dec.f, p)
-            kr = kronecker(-dec.D, p)
-            # dec.D is fundamental by construction, so hecke_condition's check is skipped
-            residue = _hecke_residue(fp, kr, p, ell) if ell else None
-            per_prime[p] = PrimeLocalData(fp, kr, residue)
-        rows.append(RepresentationRow(n, dec.D, dec.f, per_prime))
-    return rows
+    if start < 1:  # values n <= 0 are no discriminants: the first with n == 0, 3 (mod 4) is an error
+        for n in range(start, min(n_max, 0) + 1, a):
+            if n % 4 in (0, 3):
+                raise ValueError(f"-{n} is not a discriminant")
+        start += (a - start) // a * a
+    n = start + a * np.arange(max(0, (n_max - start) // a + 1), dtype=np.int64)
+    # n = s * f^2 with s squarefree: divide out p^2 for every p <= sqrt(n_max)
+    s, f = n.copy(), np.ones_like(n)
+    for p in primes_up_to(isqrt(max(n_max, 0))):
+        q = p * p
+        if a % p:
+            # p^(2j) | start + a*k is one residue class of k mod p^(2j)
+            step = q
+            while step <= n_max:
+                k0 = -start * pow(a, -1, step) % step
+                s[k0::step] //= q
+                f[k0::step] *= p
+                step *= q
+        elif start % p == 0:
+            at = np.flatnonzero(s % q == 0)
+            while at.size:
+                s[at] //= q
+                f[at] *= p
+                at = at[s[at] % q == 0]
+    r = n % 4
+    keep = (r == 0) | (r == 3)
+    n, s, f = n[keep], s[keep], f[keep]
+    # -s is fundamental when s == 3 (mod 4); otherwise s == 1, 2 (mod 4), -4s is, and f is even
+    odd = s % 4 == 3
+    D = np.where(odd, s, 4 * s)
+    f = np.where(odd, f, f // 2)
+    local = {}
+    for p in primes:
+        fp = np.ones_like(f)
+        at = np.flatnonzero(f % p == 0)
+        while at.size:
+            fp[at] *= p
+            at = at[f[at] % (fp[at] * p) == 0]
+        if p == 2:
+            kr = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)[-D % 8]
+        elif p <= len(D):
+            legendre = np.full(p, -1, dtype=np.int64)
+            legendre[0] = 0
+            squares = np.arange(1, p, dtype=np.int64)
+            legendre[squares * squares % p] = 1
+            kr = legendre[-D % p]
+        else:  # a table of p entries would outgrow the rows
+            kr = np.array([kronecker(-d, p) for d in D.tolist()], dtype=np.int64)
+        residue = None
+        if ell:
+            # f_p > 1 forces p^2 <= f_p * p <= f^2 <= n_max, so no product overflows
+            residue = np.full_like(f, 1 % ell)
+            at = np.flatnonzero(fp > 1)
+            residue[at] = _hecke_residue(fp[at], kr[at], p, ell)
+        local[p] = (fp, kr, residue)
+    return _Representations(n, D, f, local)
 
 
 def classify(
@@ -171,28 +268,27 @@ def classify(
         bad = [p for p, v in assumptions.per_prime.items() if not v[2]]
         raise ValueError(f"valuation assumptions fail at primes {bad}")
     rows = enumerate_representations(a, b, n_max, ell)
-    h_values = []
-    inv12 = pow(12, -1, ell)
-    for row in rows:
-        if row.D > 4:
-            h_values.append((row.D, table.twelve_h(row.D) * inv12 % ell))
+    fundamental = rows.D[rows.D > 4]
+    # every row n has 0 < 12H(n) == 0 (mod ell), so ell <= max 12H and the int64 product cannot wrap
+    residues = table.values[fundamental] * pow(12, -1, ell) % ell
+    h_values = list(zip(fundamental.tolist(), residues.tolist()))
     if not rows:
         return DichotomyReport(
             ell, a, b, n_max, DichotomyCase.INCONCLUSIVE, None, assumptions,
             rows, h_values, None,
         )
     witness = None
-    for p, _ in factorize(a).factors:
-        if all(row.per_prime[p].hecke_residue == 0 for row in rows):
-            locals_seen = {(row.per_prime[p].f_p, row.per_prime[p].kronecker) for row in rows}
-            if len(locals_seen) != 1:
-                raise ArithmeticError(
-                    f"Hecke witness p={p} has non-constant local data {sorted(locals_seen)}; "
-                    "this contradicts the uniqueness property and indicates a bug"
-                )
-            fp, kr = locals_seen.pop()
-            witness = HeckeWitness(p, kr, fp)
-            break
+    for p, (fp, kr, residue) in rows.local.items():
+        if residue.any():
+            continue
+        if (fp != fp[0]).any() or (kr != kr[0]).any():
+            locals_seen = sorted(set(zip(fp.tolist(), kr.tolist())))
+            raise ArithmeticError(
+                f"Hecke witness p={p} has non-constant local data {locals_seen}; "
+                "this contradicts the uniqueness property and indicates a bug"
+            )
+        witness = HeckeWitness(p, int(kr[0]), int(fp[0]))
+        break
     if witness is not None:
         a_p = p_part(a, witness.p)
         pp_ok, _ = verify_congruence(ell, a_p, b % a_p, n_max, table)
@@ -200,7 +296,7 @@ def classify(
             ell, a, b, n_max, DichotomyCase.HECKE_CONDITION, witness, assumptions,
             rows, h_values, (a_p, b % a_p, pp_ok),
         )
-    if h_values and all(residue == 0 for _, residue in h_values):
+    if residues.size and not residues.any():
         return DichotomyReport(
             ell, a, b, n_max, DichotomyCase.FUNDAMENTAL_DIVISIBILITY, None,
             assumptions, rows, h_values, None,
@@ -213,7 +309,7 @@ def classify(
 
 def report_to_json(report: DichotomyReport, max_rows: int | None = 20) -> str:
     """Stable-key-order JSON; evidence rows are truncated to max_rows unless None."""
-    rows = report.evidence if max_rows is None else report.evidence[:max_rows]
+    rows = report.evidence[:max_rows]
     payload = {
         "ell": report.ell,
         "a": report.a,

@@ -170,3 +170,79 @@ def square_class_witness_brute(m: int, a: int, b: int) -> int | None:
         if gcd(u, a) == 1 and (m - b * u * u) % a == 0:
             return u
     return None
+
+
+def enumerate_representations_reference(a: int, b: int, n_max: int, ell: int | None = None) -> list:
+    """Rows (n, D, f, {p: (f_p, kronecker, hecke_residue)}) of
+    dichotomy.enumerate_representations, one n of the progression at a time:
+    n = s * f^2 with s squarefree by trial division, then (D, f) = (s, f) for
+    s == 3 (mod 4) and (4s, f/2) otherwise; the residue is
+    sigma(f_p) - (-D|p) * sigma(f_p/p) mod ell, or 1 mod ell when f_p = 1."""
+    primes = [p for p, _ in factor_brute(a)]
+    rows = []
+    start = b if b else a
+    for n in range(start, n_max + 1, a):
+        if n % 4 in (1, 2):
+            continue
+        s, f = n, 1
+        for p, e in factor_brute(n):
+            s //= p ** (e - e % 2)
+            f *= p ** (e // 2)
+        D, f = (s, f) if s % 4 == 3 else (4 * s, f // 2)
+        local = {}
+        for p in primes:
+            fp = 1
+            while f % (fp * p) == 0:
+                fp *= p
+            kr = kronecker_prime_brute(-D, p)
+            if not ell:
+                residue = None
+            elif fp == 1:
+                residue = 1 % ell
+            else:
+                residue = (sigma_brute(fp) - kr * sigma_brute(fp // p)) % ell
+            local[p] = (fp, kr, residue)
+        rows.append((n, D, f, local))
+    return rows
+
+
+def classify_rows_reference(rows: list, values, ell: int) -> tuple:
+    """(case, witness (p, kronecker, f_p) or None, h_values) of
+    dichotomy.classify, decided row by row on reference rows; a witness prime
+    with non-constant (f_p, kronecker) raises ArithmeticError."""
+    inv12 = pow(12, -1, ell)
+    h_values = [(D, int(values[D]) * inv12 % ell) for _, D, _, _ in rows if D > 4]
+    if not rows:
+        return "inconclusive", None, h_values
+    for p in rows[0][3]:
+        if all(local[p][2] == 0 for *_, local in rows):
+            seen = {local[p][:2] for *_, local in rows}
+            if len(seen) != 1:
+                raise ArithmeticError(
+                    f"Hecke witness p={p} has non-constant local data {sorted(seen)}; "
+                    "this contradicts the uniqueness property and indicates a bug"
+                )
+            fp, kr = seen.pop()
+            return "hecke_condition", (p, kr, fp), h_values
+    if h_values and all(r == 0 for _, r in h_values):
+        return "fundamental_divisibility", None, h_values
+    return "inconclusive", None, h_values
+
+
+def search_plain_scan(values, ell: int, a_max: int, n_max: int) -> list[tuple[int, int, bool]]:
+    """(a, b, nonholomorphic) of each certificate congruence.search returns:
+    every residue b mod a <= a_max whose values up to n_max are all 0 mod ell,
+    minus progressions without D == 0, 3 (mod 4) and those whose parent
+    (a/q, b mod a/q), q a prime divisor of a, passes too."""
+    nonzero = np.asarray(values[: n_max + 1]) % ell != 0
+    passing = {
+        (a, b) for a in range(1, a_max + 1) for b in range(a) if not nonzero[b::a].any()
+    }
+    out = []
+    for a, b in sorted(passing):
+        if a % 4 == 0 and b % 4 in (1, 2):
+            continue
+        if any((a // q, b % (a // q)) in passing for q, _ in factor_brute(a)):
+            continue
+        out.append((a, b, bool(sqrt_mod_brute(-b, a))))
+    return out

@@ -46,6 +46,11 @@ def test_factorize_matches_brute():
         assert list(factorize(n).factors) == oracles.factor_brute(n), n
 
 
+def test_primes_up_to_matches_trial_division():
+    for n in range(0, 300):
+        assert arith.primes_up_to(n) == tuple(p for p in range(2, n + 1) if oracles.factor_brute(p) == [(p, 1)]), n
+
+
 def test_spf_table_holds_smallest_prime_factors():
     table, primes = arith._spf_table(), arith._spf_primes
     rng = random.Random(3)

@@ -19,6 +19,7 @@ from hcl.congruence import (
     square_class_witness,
     verify_congruence,
 )
+from hcl.hurwitz import HurwitzTable, build_table
 
 SIX_CONGRUENCES = [
     (5, 125, 25),
@@ -131,6 +132,28 @@ def test_passing_residues_matches_plain_scan():
         a = rng.randrange(1, 80)
         plain = [b for b in range(a) if not nz[b::a].any()]
         assert _passing_residues(nz, a, n - 1) == plain, (n, a)
+
+
+def test_search_mask_across_chunks_matches_plain_scan():
+    # the nonzero mask is filled in 2^20-entry chunks; n_max ends 4099 entries into the second
+    n_max = 2**20 + 4099
+    table = build_table(n_max)
+
+    def certified(tbl, ell):
+        return [
+            (c.progression.a, c.progression.b, c.holomorphic_class == HolomorphicClass.NONHOLOMORPHIC)
+            for c in search(ell, 130, n_max, tbl)
+            if c.ell == ell and c.n_max_checked == n_max and c.maximal_up_to_check
+        ]
+
+    for ell in (5, 7, 11, 13):
+        assert certified(table, ell) == oracles.search_plain_scan(table.values, ell, 130, n_max), ell
+    # a value that breaks (125, 25) only past the first chunk must drop it
+    planted = table.values.copy()
+    planted[n_max - (n_max - 25) % 125] += 1
+    found = certified(HurwitzTable(n_max, planted), 5)
+    assert (125, 25, True) in certified(table, 5) and (125, 25, True) not in found
+    assert found == oracles.search_plain_scan(planted, 5, 130, n_max)
 
 
 def test_search_deterministic_and_jobs_equivalent(table_small):

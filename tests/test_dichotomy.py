@@ -1,7 +1,11 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
+import hcl
+import hcl.dichotomy as dichotomy_module
 import oracles
 from hcl.congruence import verify_congruence
 from hcl.dichotomy import (
@@ -57,6 +61,83 @@ def test_enumerate_examples():
     assert 36 in ns and 9 not in ns  # -9 == 3 (mod 4) is not a discriminant
     by_n = {r.n: r for r in rows}
     assert (by_n[36].D, by_n[36].f) == (4, 3)
+
+
+def as_tuples(rows):
+    return [
+        (r.n, r.D, r.f, {p: (d.f_p, d.kronecker, d.hecke_residue) for p, d in r.per_prime.items()})
+        for r in rows
+    ]
+
+
+def drawn_progressions(count=60, seed=2027):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = rng.randrange(1, 3001)
+        out.append((a, rng.randrange(a), rng.randrange(3 * 10**4 + 1), rng.choice([None, 5, 7, 11, 13])))
+    return out
+
+
+EDGE_PROGRESSIONS = [
+    (12, 0, 5000, 5),  # b = 0: the progression starts at a
+    (1, 0, 3000, 7),  # a = 1: every n
+    (20, 7, 20000, 11),  # 4 | a, n == 3 (mod 4)
+    (16, 12, 20000, 13),  # 4 | a, n == 0 (mod 4)
+    (72, 36, 30000, 5),  # 2^2 and 3^2 divide a and b
+    (45, 18, 30000, None),  # 3^2 divides a and b
+    (2 * 10007, 3, 10**5, 5),  # p = 10007 | a exceeds the row count (3 rows)
+    (3 * 100003, 11, 10**5, 7),  # a > n_max with one row; p = 100003 exceeds it
+    (5000, 4999, 4999, 5),  # a > n_max, one row
+    (5000, 4999, 4000, 5),  # empty: b > n_max
+    (27, 9, 0, 5),  # empty: n_max = 0
+    (5, -3, 100, 5),  # b < 0: the values -3 and 2 are skipped
+    (7, -10, 200, None),  # b < 0: the values -10 and -3 are skipped
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,n_max,ell",
+    [(a, b, 2 * 10**5, ell) for ell, a, b in EXPECTED_WITNESSES]
+    + EDGE_PROGRESSIONS
+    + drawn_progressions(),
+)
+def test_enumerate_matches_row_oracle(a, b, n_max, ell):
+    rows = enumerate_representations(a, b, n_max, ell)
+    assert as_tuples(rows) == oracles.enumerate_representations_reference(a, b, n_max, ell)
+
+
+def test_enumerate_rejects_a_nonpositive_discriminant():
+    with pytest.raises(ValueError, match="^--8 is not a discriminant$"):
+        enumerate_representations(4, -8, 100)
+
+
+def test_evidence_is_a_lazy_read_only_sequence():
+    rows = enumerate_representations(27, 9, 3000, 5)
+    oracle = oracles.enumerate_representations_reference(27, 9, 3000, 5)
+    size = len(oracle)
+    assert len(rows) == size > 20
+    assert as_tuples([rows[0], rows[-1], rows[np.int64(5)], rows[-size]]) == [
+        oracle[0], oracle[-1], oracle[5], oracle[-size]
+    ]
+    for sel in (slice(None), slice(3, 17), slice(1, None, 7), slice(None, None, -3), slice(-5, 200, 2), slice(50, 10)):
+        assert as_tuples(rows[sel]) == oracle[sel], sel
+    assert as_tuples(rows) == oracle  # iteration
+    assert list(rows) == rows == enumerate_representations(27, 9, 3000, 5)
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            oracle[i]
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(IndexError):
+        enumerate_representations(27, 9, 5)[0]
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    # the sequence class stays private
+    name = type(rows).__name__
+    exported = {}
+    exec("from hcl import *", exported)
+    assert name not in dichotomy_module.__all__ and name not in exported and not hasattr(hcl, name)
 
 
 def test_rows_sorted_and_decompose():
@@ -118,6 +199,57 @@ def test_classify_witness_matches_first_row_oracle(table_1m):
         first = rows[0]
         data = first.per_prime[p]
         assert data.f_p == fp and data.kronecker == kappa and data.hecke_residue == 0
+
+
+def verified_progressions(table, count=40, seed=11):
+    """Seed-drawn (ell, a, b, n_max) with rows on which classify runs: the
+    congruence verifies and the valuation assumptions hold."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = rng.randrange(1, 400)
+        b, ell, n_max = rng.randrange(a), rng.choice([5, 7, 11, 13]), rng.randrange(1, 40 * a)
+        if not check_assumptions(a, b).ok or not verify_congruence(ell, a, b, n_max, table)[0]:
+            continue
+        if oracles.enumerate_representations_reference(a, b, n_max):
+            out.append((ell, a, b, n_max))
+    return out
+
+
+def test_classify_matches_row_oracle(table_1m):
+    cases = [(ell, a, b, 2 * 10**5) for ell, a, b in EXPECTED_WITNESSES]
+    cases += [(7, 24, 17, 297)] + verified_progressions(table_1m)  # the first has no rows
+    verdicts = set()
+    for ell, a, b, n_max in cases:
+        report = classify(ell, a, b, n_max, table_1m)
+        rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
+        case, witness, h_values = oracles.classify_rows_reference(rows, table_1m.values, ell)
+        w = report.witness
+        assert report.case.value == case, (ell, a, b, n_max)
+        assert (None if w is None else (w.p, w.kronecker, w.f_p)) == witness, (ell, a, b, n_max)
+        assert report.h_values == h_values, (ell, a, b, n_max)
+        verdicts.add((case, bool(rows)))
+    assert verdicts == {
+        ("hecke_condition", True),
+        ("fundamental_divisibility", True),
+        ("inconclusive", True),
+        ("inconclusive", False),
+    }
+
+
+def test_classify_rejects_non_constant_local_data(table_1m, monkeypatch):
+    rows = enumerate_representations(125, 25, 10**4, 5)
+    fp, kr, residue = rows.local[5]
+    fp = fp.copy()
+    fp[-1] = 25  # residues stay 0, so p = 5 is a witness with two local data
+    forged = type(rows)(rows.n, rows.D, rows.f, {5: (fp, kr, residue)})
+    with pytest.raises(ArithmeticError) as oracle_error:
+        oracles.classify_rows_reference(as_tuples(forged), table_1m.values, 5)
+    monkeypatch.setattr(dichotomy_module, "enumerate_representations", lambda *args: forged)
+    with pytest.raises(ArithmeticError) as error:
+        classify(5, 125, 25, 10**4, table_1m)
+    assert str(error.value) == str(oracle_error.value)
+    assert str(error.value).startswith("Hecke witness p=5 has non-constant local data [(5, 1), (25, 1)]; ")
 
 
 def test_classify_rejects_failing_congruence(table_1m):
