@@ -41,18 +41,15 @@ class Config:
     table_path: str
     n_max: int
     output_format: str  # json | csv | text
-    jobs: int
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _config(args) -> Config:
     path = args.table or os.environ.get("HCL_TABLE") or DEFAULT_TABLE
-    return Config(path, args.n_max, args.format, args.jobs)
+    return Config(path, args.n_max, args.format)
 
 
 def _load_table(cfg: Config) -> HurwitzTable:
@@ -127,7 +124,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     cfg = _config(args)
     table = _load_table(cfg)
-    certs = search(args.ell, args.a_max, cfg.n_max, table, jobs=cfg.jobs)
+    certs = search(args.ell, args.a_max, cfg.n_max, table)
     if cfg.output_format == "json":
         print("[" + ", ".join(certificate_to_json(c) for c in certs) + "]")
     elif cfg.output_format == "csv":
@@ -204,7 +201,7 @@ def cmd_holproj(args) -> int:
     except ValueError as exc:
         payload["q_subsets_error"] = str(exc)
     if args.projection:
-        cfg = Config(cfg.table_path, max(cfg.n_max, args.a * args.n), cfg.output_format, cfg.jobs)
+        cfg = Config(cfg.table_path, max(cfg.n_max, args.a * args.n), cfg.output_format)
         table = _load_table(cfg)
         proj = holproj.exact_projection_coefficient(args.a, args.b, args.beta, args.n, table)
         payload["exact_projection"] = f"{proj.numerator}/{proj.denominator}"
@@ -237,7 +234,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="table cache path (default: $HCL_TABLE or ./hurwitz_table.csv)")
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, help="largest value checked")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,41 +85,46 @@ def classify_progression(a: int, b: int) -> HolomorphicClass:
     return HolomorphicClass.HOLOMORPHIC
 
 
-def _has_discriminant_support(a: int, b: int) -> bool:
-    """Whether a*Z + b contains any value D with -D == 0 or 1 (mod 4).
+def _has_discriminant_support(a: int, b: np.ndarray) -> np.ndarray:
+    """For each residue in b, whether a*Z + b contains any value D with
+    -D == 0 or 1 (mod 4).
 
     Progressions without such values have H identically zero on them and
-    verify vacuously; the search excludes them.
+    verify vacuously; the search excludes them.  Such a progression never
+    covers a supported one either: 4 | a/q and b' == 1, 2 (mod 4) force
+    4 | a and b == b' (mod 4) on every child (a, b) of (a/q, b').
     """
-    if a % 4 == 0:
-        return b % 4 in (0, 3)
-    return True
+    return (a % 4 != 0) | (b % 4 == 0) | (b % 4 == 3)
 
 
 _SCREEN_ROWS = 64
 _MASK_CHUNK = 1 << 20  # entries of the table reduced mod ell at a time by search
 
 
-def _passing_residues(nz_any: np.ndarray, a: int, n_max: int) -> list[int]:
-    """Residues b mod a whose progression b, b + a, ... has no True entry.
+def _passing_residues(nz_any: np.ndarray, a: int) -> list[int]:
+    """Residues b mod a with discriminant support whose progression
+    b, b + a, ... has no True entry.
 
     One reshaped prefix of _SCREEN_ROWS rows rules out most residues in a
-    single call; only the survivors are scanned along the whole progression.
+    single call; only the supported survivors are scanned along the whole
+    progression.
     """
     rows = min(_SCREEN_ROWS, nz_any.size // a)
     hit = nz_any[: rows * a].reshape(rows, a).any(axis=0)
-    return [b for b in np.flatnonzero(~hit).tolist() if not nz_any[b::a].any()]
+    survivors = np.flatnonzero(~hit & _has_discriminant_support(a, np.arange(a)))
+    return [b for b in survivors.tolist() if not nz_any[b::a].any()]
 
 
 def search(
-    ell: int, a_max: int, n_max: int, table: HurwitzTable, jobs: int = 1
+    ell: int, a_max: int, n_max: int, table: HurwitzTable
 ) -> list[CongruenceCertificate]:
     """All progressions with a <= a_max whose values up to n_max verify the
     congruence, reduced to maximal ones: a progression is dropped when some
     super-progression (a/q)*Z + (b mod a/q), q prime, also verifies.
 
-    Progressions containing no discriminants at all (identically zero H) are
-    excluded from the output.
+    Only progressions that contain discriminants are scanned; those without
+    (identically zero H) are never read and never reported.  The scan is
+    serial.
     """
     check_ell(ell)
     if n_max < 100 * a_max:
@@ -132,25 +137,10 @@ def search(
     for lo in range(0, values.size, _MASK_CHUNK):
         np.not_equal(values[lo : lo + _MASK_CHUNK] % ell, 0, out=nz[lo : lo + _MASK_CHUNK])
 
-    passing: set[tuple[int, int]] = set()
-
-    def scan(a: int) -> list[tuple[int, int]]:
-        return [(a, b) for b in _passing_residues(nz, a, n_max)]
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded searches pay its import
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(scan, range(1, a_max + 1)):
-                passing.update(chunk)
-    else:
-        for a in range(1, a_max + 1):
-            passing.update(scan(a))
+    passing = {(a, b) for a in range(1, a_max + 1) for b in _passing_residues(nz, a)}
 
     certificates = []
     for a, b in sorted(passing):
-        if not _has_discriminant_support(a, b):
-            continue
         covered = any(
             (a // q, b % (a // q)) in passing
             for q, _ in factorize(a).factors

@@ -138,15 +138,17 @@ def build_table(n_max: int) -> HurwitzTable:
     there on they add up to one periodic weight row, added to all those rows
     at once; the terms below row a + 1 are added point by point.  The sums
     are taken in int32 (12*H(D) stays below 10^7 for D <= 10^8, against
-    2^31) and widened to int64 at the end, so the build briefly holds 12
-    bytes per D.
+    2^31) in the upper half of the int64 table's own buffer and widened in
+    place at the end, so the build holds 8 bytes per D.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > 10**8:
         raise ValueError("n_max beyond the supported 10^8 memory bound")
-    table = np.empty(n_max + 1, dtype=np.int64)
-    values = np.zeros(n_max + 1, dtype=np.int32)
+    size = n_max + 1
+    table = np.empty(size, dtype=np.int64)
+    values = table.view(np.int32)[size:]  # bytes [4*size, 8*size) of the table
+    values[:] = 0
     values[0] = -1
     for a in range(1, isqrt(n_max // 3) + 1):
         step = 4 * a
@@ -169,6 +171,9 @@ def build_table(n_max: int) -> HurwitzTable:
             body += period
             tail = values[rows * step :]
             tail += period[: tail.size]
+    # table[i] overlaps only values[j] with j <= i, so a front-to-back copy reads
+    # each value before overwriting it; numpy copies a 1-d overlap front to back
+    # when the target starts first, without a temporary
     table[:] = values
     return HurwitzTable(n_max, table)
 

@@ -112,14 +112,6 @@ def test_search_csv_output(table_file, capsys):
     assert "5,27,9,3000,holomorphic,1" in lines
 
 
-def test_search_jobs_flag_matches_serial(table_file, capsys):
-    base = ("search", "--ell", "5", "--a-max", "40", "--table", table_file,
-            "--n-max", "4000", "--format", "json")
-    _, serial, _ = run(capsys, *base, "--jobs", "1")
-    _, parallel, _ = run(capsys, *base, "--jobs", "4")
-    assert serial == parallel
-
-
 def test_search_byte_stable(table_file, capsys):
     args = ("search", "--ell", "5", "--a-max", "30", "--table", table_file,
             "--n-max", "3000", "--format", "json")

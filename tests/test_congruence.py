@@ -130,36 +130,58 @@ def test_passing_residues_matches_plain_scan():
         n = rng.randrange(1, 2000)  # also below a and below a * 64 rows
         nz = np.array([rng.random() < rng.random() ** 6 for _ in range(n)])
         a = rng.randrange(1, 80)
-        plain = [b for b in range(a) if not nz[b::a].any()]
-        assert _passing_residues(nz, a, n - 1) == plain, (n, a)
+        plain = [
+            b for b in range(a)
+            if not (a % 4 == 0 and b % 4 in (1, 2)) and not nz[b::a].any()
+        ]
+        assert _passing_residues(nz, a) == plain, (n, a)
+
+
+def certified(table, ell, a_max, n_max):
+    """search's certificates at ell in search_plain_scan's (a, b, nonholomorphic) form."""
+    return [
+        (c.progression.a, c.progression.b, c.holomorphic_class == HolomorphicClass.NONHOLOMORPHIC)
+        for c in search(ell, a_max, n_max, table)
+        if c.ell == ell and c.n_max_checked == n_max and c.maximal_up_to_check
+    ]
 
 
 def test_search_mask_across_chunks_matches_plain_scan():
     # the nonzero mask is filled in 2^20-entry chunks; n_max ends 4099 entries into the second
     n_max = 2**20 + 4099
     table = build_table(n_max)
-
-    def certified(tbl, ell):
-        return [
-            (c.progression.a, c.progression.b, c.holomorphic_class == HolomorphicClass.NONHOLOMORPHIC)
-            for c in search(ell, 130, n_max, tbl)
-            if c.ell == ell and c.n_max_checked == n_max and c.maximal_up_to_check
-        ]
-
     for ell in (5, 7, 11, 13):
-        assert certified(table, ell) == oracles.search_plain_scan(table.values, ell, 130, n_max), ell
+        want = oracles.search_plain_scan(table.values, ell, 130, n_max)
+        assert certified(table, ell, 130, n_max) == want, ell
     # a value that breaks (125, 25) only past the first chunk must drop it
     planted = table.values.copy()
     planted[n_max - (n_max - 25) % 125] += 1
-    found = certified(HurwitzTable(n_max, planted), 5)
-    assert (125, 25, True) in certified(table, 5) and (125, 25, True) not in found
+    found = certified(HurwitzTable(n_max, planted), 5, 130, n_max)
+    assert (125, 25, True) in certified(table, 5, 130, n_max) and (125, 25, True) not in found
     assert found == oracles.search_plain_scan(planted, 5, 130, n_max)
 
 
-def test_search_deterministic_and_jobs_equivalent(table_small):
-    one = search(5, 60, 10**4, table_small)
-    two = search(5, 60, 10**4, table_small, jobs=4)
-    assert one == two
+def test_search_skips_unsupported_progressions_exactly_on_any_mask():
+    # search never reads a progression with 4 | a and b == 1, 2 (mod 4); nonzero values
+    # planted at D == 1, 2 (mod 4), where no Hurwitz table has them, must not change its output
+    n_max = 2**20 + 4099
+    rng = random.Random(7)
+    values = np.zeros(n_max + 1, dtype=np.int64)
+    for lo, hi in ((0, 2**20), (2**20, n_max + 1)):
+        for r in (0, 1, 1, 2, 2, 3):
+            D = rng.randrange(lo, hi - 3)
+            values[D - D % 4 + r] = rng.choice((1, 5 * 7, 11 * 13))
+    assert np.count_nonzero(values[2**20 :]) > 0
+    assert {int(D) % 4 for D in np.flatnonzero(values)} == {0, 1, 2, 3}
+    table = HurwitzTable(n_max, values)
+    for ell in (5, 7, 11, 13):
+        found = certified(table, ell, 130, n_max)
+        assert found == oracles.search_plain_scan(values, ell, 130, n_max), ell
+        assert found and all(not (a % 4 == 0 and b % 4 in (1, 2)) for a, b, _ in found)
+
+
+def test_search_deterministic(table_small):
+    assert search(5, 60, 10**4, table_small) == search(5, 60, 10**4, table_small)
 
 
 # ---------------------------

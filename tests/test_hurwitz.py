@@ -3,6 +3,7 @@ import io
 import os
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,19 @@ def test_build_table_matches_strided_sweep(n_max):
     t = build_table(n_max)
     assert t.values.dtype == "int64"
     assert t.values.tolist() == oracles.build_table_strided_reference(n_max)
+
+
+def test_build_table_holds_eight_bytes_per_d():
+    # the int32 sums share the int64 table's buffer, so the build never holds both
+    n_max = 10**6
+    tracemalloc.start()
+    try:
+        table = build_table(n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.flags.owndata and table.values.flags.writeable
+    assert peak < 10 * (n_max + 1), peak / (n_max + 1)
 
 
 def test_build_table_matches_pointwise(table_1m):
