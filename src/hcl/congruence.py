@@ -72,7 +72,7 @@ def verify_congruence(
     if n_max > table.n_max:
         raise ValueError(f"table covers D <= {table.n_max}, need {n_max}")
     vals = table.values[b : n_max + 1 : a]
-    bad = np.nonzero(vals % ell)[0]
+    bad = np.nonzero(vals % _modulus(ell))[0]
     if bad.size:
         return False, b + a * int(bad[0])
     return True, None
@@ -99,6 +99,13 @@ def _has_discriminant_support(a: int, b: np.ndarray) -> np.ndarray:
 
 _SCREEN_ROWS = 64
 _MASK_CHUNK = 1 << 20  # entries of the table reduced mod ell at a time by search
+
+
+def _modulus(ell: int) -> int:
+    """A modulus that fits int32 table values and divides the same ones as
+    ell: every |12*H(D)| < 2^31 - 1, so an ell beyond that divides only 0,
+    as 2^31 - 1 does."""
+    return min(ell, 2**31 - 1)
 
 
 def _passing_residues(nz_any: np.ndarray, a: int) -> list[int]:
@@ -132,10 +139,11 @@ def search(
     if n_max > table.n_max:
         raise ValueError(f"table covers D <= {table.n_max}, need {n_max}")
     values = table.values[: n_max + 1]
+    modulus = _modulus(ell)
     nz = np.empty(values.size, dtype=bool)
-    # chunk by chunk, so the int64 remainders never take a table-sized temporary
+    # chunk by chunk, so the remainders never take a table-sized temporary
     for lo in range(0, values.size, _MASK_CHUNK):
-        np.not_equal(values[lo : lo + _MASK_CHUNK] % ell, 0, out=nz[lo : lo + _MASK_CHUNK])
+        np.not_equal(values[lo : lo + _MASK_CHUNK] % modulus, 0, out=nz[lo : lo + _MASK_CHUNK])
 
     passing = {(a, b) for a in range(1, a_max + 1) for b in _passing_residues(nz, a)}
 

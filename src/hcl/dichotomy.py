@@ -256,7 +256,8 @@ def classify(
     For a Hecke witness p the local data (f_p, kronecker) must be constant
     across all rows; a violation would contradict the uniqueness property and
     is raised as an error.  The implied congruence on the p-part progression
-    a_p*Z + (b mod a_p) is re-verified and recorded.
+    a_p*Z + (b mod a_p) is recorded: re-verified when a_p < a, and the
+    congruence's own verdict when a_p == a.
     """
     ok, counterexample = verify_congruence(ell, a, b, n_max, table)
     if not ok:
@@ -269,8 +270,9 @@ def classify(
         raise ValueError(f"valuation assumptions fail at primes {bad}")
     rows = enumerate_representations(a, b, n_max, ell)
     fundamental = rows.D[rows.D > 4]
-    # every row n has 0 < 12H(n) == 0 (mod ell), so ell <= max 12H and the int64 product cannot wrap
-    residues = table.values[fundamental] * pow(12, -1, ell) % ell
+    # every row n has 0 < 12H(n) == 0 (mod ell), so ell <= max 12H < 2^20: the product
+    # wraps in int32 but not in int64
+    residues = table.values[fundamental].astype(np.int64) * pow(12, -1, ell) % ell
     h_values = list(zip(fundamental.tolist(), residues.tolist()))
     if not rows:
         return DichotomyReport(
@@ -291,7 +293,7 @@ def classify(
         break
     if witness is not None:
         a_p = p_part(a, witness.p)
-        pp_ok, _ = verify_congruence(ell, a_p, b % a_p, n_max, table)
+        pp_ok = ok if a_p == a else verify_congruence(ell, a_p, b % a_p, n_max, table)[0]
         return DichotomyReport(
             ell, a, b, n_max, DichotomyCase.HECKE_CONDITION, witness, assumptions,
             rows, h_values, (a_p, b % a_p, pp_ok),

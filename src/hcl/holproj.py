@@ -308,7 +308,7 @@ def exact_projection_coefficient(
     hol = 0
     for c in (beta, -beta):
         k = np.arange(-r + (c + r) % a, r + 1, a)
-        hol += int(table.values[an - k * k].sum())
+        hol += int(table.values[an - k * k].sum(dtype=np.int64))
     completed = sum(
         proj_theta_product(a, bt, beta, n) + proj_theta_product(a, bt, -beta, n)
         for bt in sqrt_mod(-b, a)

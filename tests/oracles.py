@@ -55,6 +55,35 @@ def build_table_strided_reference(n_max: int) -> list[int]:
     return values.tolist()
 
 
+def kronecker_hurwitz_mismatches(values) -> list[int]:
+    """The n in 1..(len(values) - 1) // 4 at which a table of 12*H(D) breaks
+    the Kronecker-Hurwitz relation sum_{t in Z} 12H(4n - t^2) =
+    24 sigma(n) - 12 lambda(n), lambda(n) = sum_{d | n} min(d, n/d).
+
+    Every D == 0 (mod 4) enters at n = D/4 (t = 0) and every D == 3 (mod 4)
+    below the last multiple of 4 at n = (D + 1)/4 (t = +-1), so one wrong
+    value there breaks a relation.  The left side is one slice-add per t;
+    sigma and lambda come from sieves over the divisor pairs d <= n/d."""
+    values = np.asarray(values)
+    top = (values.size - 1) // 4
+    lhs = np.zeros(top + 1, dtype=np.int64)
+    t = 0
+    while t * t <= 4 * top:
+        lo = (t * t + 3) // 4  # the least n with 4n - t^2 >= 0
+        lhs[lo:] += (1 if t == 0 else 2) * values[4 * lo - t * t : 4 * top - t * t + 1 : 4].astype(np.int64)
+        t += 1
+    sigma = np.zeros(top + 1, dtype=np.int64)
+    lam = np.zeros(top + 1, dtype=np.int64)
+    for d in range(1, isqrt(top) + 1):
+        n = np.arange(d * d, top + 1, d)
+        sigma[n] += d + n // d  # the pair (d, n/d)
+        lam[n] += 2 * d
+        sigma[d * d] -= d  # d = n/d counted once
+        lam[d * d] -= d
+    bad = np.flatnonzero(lhs[1:] != 24 * sigma[1:] - 12 * lam[1:]) + 1
+    return bad.tolist()
+
+
 def write_table_csv_reference(values, path) -> None:
     """The table cache as the csv module writes it: header `D,twelveH`, one
     row per D, CRLF line ends."""

@@ -1,9 +1,11 @@
 import json
+import os
+import tracemalloc
 
 import pytest
 
 from hcl.cli import main
-from hcl.hurwitz import build_table, write_table_csv
+from hcl.hurwitz import MAX_N_MAX, build_table, write_table_csv
 
 
 @pytest.fixture()
@@ -33,6 +35,18 @@ def test_table_command_zero(tmp_path, capsys):
     code, _, _ = run(capsys, "table", "--n-max", "0", "--out", str(out))
     assert code == 0
     assert out.read_text().splitlines()[1] == "0,-1"
+
+
+def test_table_command_over_the_cap(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "table", "--n-max", str(MAX_N_MAX + 1), "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and f"beyond the supported {MAX_N_MAX}" in err
+    assert os.listdir(tmp_path) == [] and peak < 2**20, peak
 
 
 def test_table_command_unwritable(tmp_path, capsys):
@@ -201,3 +215,17 @@ def test_verify_refuses_truncated_cache(tmp_path, capsys):
     assert code == 2 and "verified" not in out
     assert "cut off" in err and "hcl table" in err
     assert path.read_bytes() == cut
+
+
+def test_verify_refuses_cache_cell_beyond_int32(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    write_table_csv(build_table(4999), path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[4000 + 1] = b"4000,3000000000"
+    path.write_bytes(b"\r\n".join(lines))
+    code, out, err = run(
+        capsys, "verify", "--ell", "5", "--a", "125", "--b", "25",
+        "--n-max", "4999", "--table", str(path),
+    )
+    assert code == 2 and "verified" not in out and "malformed row" in err
+    assert path.read_bytes() == b"\r\n".join(lines)

@@ -180,6 +180,16 @@ def test_search_skips_unsupported_progressions_exactly_on_any_mask():
         assert found and all(not (a % 4 == 0 and b % 4 in (1, 2)) for a, b, _ in found)
 
 
+def test_ell_beyond_int32_divides_only_zero(table_small):
+    # the table is int32; a prime ell >= 2^31 still divides exactly the zero values
+    ell = 2**31 + 11
+    assert verify_congruence(ell, 1, 0, 10**4, table_small) == (False, 0)  # 12H(0) = -1
+    assert verify_congruence(ell, 4, 1, 10**4, table_small) == (True, None)
+    assert verify_congruence(ell, 12, 3, 10**4, table_small) == (False, 3)
+    want = oracles.search_plain_scan(table_small.values.astype(np.int64), ell, 60, 10**4)
+    assert certified(table_small, ell, 60, 10**4) == want
+
+
 def test_search_deterministic(table_small):
     assert search(5, 60, 10**4, table_small) == search(5, 60, 10**4, table_small)
 

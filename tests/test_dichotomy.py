@@ -16,7 +16,8 @@ from hcl.dichotomy import (
     hecke_condition,
     report_to_json,
 )
-from hcl.hurwitz import hurwitz_via_formula
+from hcl.arith import p_part
+from hcl.hurwitz import HurwitzTable, hurwitz_via_formula
 
 
 EXPECTED_WITNESSES = {
@@ -235,6 +236,37 @@ def test_classify_matches_row_oracle(table_1m):
         ("inconclusive", True),
         ("inconclusive", False),
     }
+
+
+def test_classify_h_values_do_not_wrap_on_int32_tables():
+    # 12H * (12^-1 mod ell) reaches 2^31 here: 70000 * 40834 and 140002 * 40834
+    ell, a, b, n_max = 70001, 25, 10, 5000
+    assert 70000 * pow(12, -1, ell) >= 2**31
+    values = np.full(n_max + 1, 70000, dtype=np.int32)
+    values[b::a] = 2 * ell
+    report = classify(ell, a, b, n_max, HurwitzTable(n_max, values))
+    rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
+    case, witness, h_values = oracles.classify_rows_reference(rows, values, ell)
+    assert report.case.value == case and report.h_values == h_values
+    assert {D % a == b for D, _ in h_values} == {True, False}
+
+
+def test_prime_power_congruence_reverified_only_below_a(table_1m, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_congruence(*args)
+
+    monkeypatch.setattr(dichotomy_module, "verify_congruence", counting)
+    cases = list(EXPECTED_WITNESSES) + [(5, 375, 25), (5, 375, 275), (7, 1029, 490), (5, 135, 36)]
+    for ell, a, b in cases:
+        calls.clear()
+        report = classify(ell, a, b, 10**6, table_1m)
+        a_p = p_part(a, report.witness.p)
+        want = verify_congruence(ell, a_p, b % a_p, 10**6, table_1m)[0]
+        assert report.prime_power_congruence == (a_p, b % a_p, want), (ell, a, b)
+        assert len(calls) == (1 if a_p == a else 2), (ell, a, b)
 
 
 def test_classify_rejects_non_constant_local_data(table_1m, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from hcl.arith import is_fundamental, sigma1
 from hcl.hurwitz import (
+    MAX_N_MAX,
     build_table,
     class_number,
     hurwitz,
@@ -97,12 +98,57 @@ def test_build_table_matches_strided_sweep(n_max):
     """Row boundaries (n_max + 1 a multiple of 4a or not) are where the
     periodic rows and the point-by-point head meet."""
     t = build_table(n_max)
-    assert t.values.dtype == "int64"
+    assert t.values.dtype == "int32"
     assert t.values.tolist() == oracles.build_table_strided_reference(n_max)
 
 
-def test_build_table_holds_eight_bytes_per_d():
-    # the int32 sums share the int64 table's buffer, so the build never holds both
+_hurwitz = sys.modules["hcl.hurwitz"]  # `hcl.hurwitz` the attribute is the function
+_WINDOW = _hurwitz._WINDOW
+_LAST_ALONE = 4 * 257 * 258  # at this n_max the odd a = 257 forms the last batch of rows on its own
+
+
+@pytest.mark.parametrize(
+    "n_max",
+    [
+        2 * _WINDOW - 1,  # the table ends on a window boundary
+        2 * _WINDOW,  # one past it
+        4 * 255 * 256 - 1,  # the periodic part of a = 255, a new odd a, would start one past the end
+        4 * 255 * 256,  # it covers the last D only
+        4 * 256 * 257 - 1,  # likewise for a = 256, where the row of a = 1, 2, 4, ... grows
+        4 * 256 * 257,
+        _LAST_ALONE - 1,
+        _LAST_ALONE,
+    ],
+)
+def test_windowed_build_matches_oracles_at_boundaries(n_max):
+    values = build_table(n_max).values
+    assert oracles.kronecker_hurwitz_mismatches(values) == []
+    assert values.tolist() == oracles.build_table_strided_reference(n_max)
+
+
+def test_windowed_build_ends_on_a_batch_boundary(monkeypatch):
+    batches = []
+
+    def recording(values, rows):
+        batches.append(sorted((start, stop) for start, stop, _ in rows))
+        add_rows(values, rows)
+
+    add_rows = _hurwitz._add_rows
+    monkeypatch.setattr(_hurwitz, "_add_rows", recording)
+    for n_max in (_LAST_ALONE - 1, _LAST_ALONE):
+        batches.clear()
+        values = build_table(n_max).values
+        assert oracles.kronecker_hurwitz_mismatches(values) == [], n_max
+    assert len(batches) >= 2 and batches[-1] == [(_LAST_ALONE, _LAST_ALONE + 1)]
+
+
+def test_build_table_passes_kronecker_hurwitz(table_1m):
+    assert table_1m.values.dtype == "int32"
+    assert oracles.kronecker_hurwitz_mismatches(table_1m.values) == []
+
+
+def test_build_table_holds_under_six_bytes_per_d():
+    # 4 bytes per D of int32 table, plus periodic rows held to an eighth of that
     n_max = 10**6
     tracemalloc.start()
     try:
@@ -111,7 +157,18 @@ def test_build_table_holds_eight_bytes_per_d():
     finally:
         tracemalloc.stop()
     assert table.values.flags.owndata and table.values.flags.writeable
-    assert peak < 10 * (n_max + 1), peak / (n_max + 1)
+    assert peak < 6 * (n_max + 1), peak / (n_max + 1)
+
+
+def test_build_table_checks_the_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"beyond the supported {MAX_N_MAX}"):
+            build_table(MAX_N_MAX + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 def test_build_table_matches_pointwise(table_1m):
@@ -156,7 +213,7 @@ def test_table_csv_matches_csv_module_reference(tmp_path, n_max):
     assert (tmp_path / "t.csv").read_bytes() == ref.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["ref.csv", "t.csv"]
     back = read_table_csv(ref)
-    assert back.n_max == n_max and back.values.dtype == "int64"
+    assert back.n_max == n_max and back.values.dtype == "int32"
     assert back.values.tolist() == oracles.read_table_csv_reference(ref)
 
 
@@ -176,6 +233,8 @@ def _damage(kind, values):
         _edit_row(lines, 2001, 12)
     elif kind == "non-integer cell":
         _edit_row(lines, 100, "12.5")
+    elif kind == "cell beyond int32":
+        _edit_row(lines, 4000, 3000000000)
     elif kind == "missing D row":
         del lines[1234 + 1]
     return b"".join(line + b"\r\n" for line in lines)
@@ -186,6 +245,7 @@ DAMAGES = {  # kind -> the defect the reader must name
     "edited at n_max": r"12\*H\(4999\) = \d+, enumeration gives",
     "nonzero at D == 1 (mod 4)": r"12\*H\(2001\) = 12 must be 0",
     "non-integer cell": "malformed row",
+    "cell beyond int32": "malformed row",
     "missing D row": "row 1235 holds D = 1235",
 }
 
@@ -219,11 +279,10 @@ def test_write_table_csv_is_atomic(tmp_path, monkeypatch, step):
     path = tmp_path / "t.csv"
     write_table_csv(build_table(50), path)
     before = path.read_bytes()
-    module = sys.modules["hcl.hurwitz"]  # `hcl.hurwitz` the attribute is the function
     if step == "write":
-        monkeypatch.setattr(module, "open", _FullDisk, raising=False)
+        monkeypatch.setattr(_hurwitz, "open", _FullDisk, raising=False)
     else:
-        monkeypatch.setattr(module.os, "replace", _fail_replace)
+        monkeypatch.setattr(_hurwitz.os, "replace", _fail_replace)
     with pytest.raises(OSError):
         write_table_csv(build_table(5000), path)
     monkeypatch.undo()
