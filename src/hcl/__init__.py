@@ -55,13 +55,8 @@ from .hurwitz import (
     write_table_csv,
 )
 from .qseries import (
-    ModLSeries,
     QSeries,
     eisenstein_hol,
-    multiply,
-    reduce_mod,
-    series_from_json,
-    series_to_json,
     theta_series,
     u_operator,
     u_theta_decomposition,

@@ -79,11 +79,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_ell(ell: int, name: str = "ell") -> None:
+def check_ell(ell: int) -> None:
     """Raise ValueError unless ell is a prime > 3, the moduli for which 12*H
-    congruences are taken (gcd(12, ell) = 1); `name` labels the message."""
+    congruences are taken (gcd(12, ell) = 1)."""
     if ell <= 3 or not is_prime(ell):
-        raise ValueError(f"{name} must be a prime > 3")
+        raise ValueError("ell must be a prime > 3")
 
 
 def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7) -> int:

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import holproj
 from .congruence import (
@@ -36,98 +35,75 @@ DEFAULT_TABLE = "hurwitz_table.csv"
 DEFAULT_N_MAX = 10**6
 
 
-@dataclass
-class Config:
-    table_path: str
-    n_max: int
-    output_format: str  # json | csv | text
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+def _common(args) -> tuple[str, int]:
+    """The table cache path and n_max of a subcommand with the common options."""
+    if args.n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return args.table or os.environ.get("HCL_TABLE") or DEFAULT_TABLE, args.n_max
 
 
-def _config(args) -> Config:
-    path = args.table or os.environ.get("HCL_TABLE") or DEFAULT_TABLE
-    return Config(path, args.n_max, args.format)
-
-
-def _load_table(cfg: Config) -> HurwitzTable:
+def _load_table(path: str, n_max: int) -> HurwitzTable:
     """Read and check the table cache, rebuilding (and persisting) it when
     missing or short.  A cache that fails its checks is left in place and
-    raises SystemExit2."""
-    if os.path.exists(cfg.table_path):
+    raises ValueError."""
+    if os.path.exists(path):
         try:
-            table = read_table_csv(cfg.table_path)
+            table = read_table_csv(path)
         except ValueError as exc:
-            raise SystemExit2(f"{exc}; delete the file or rebuild it with `hcl table`")
-        if table.n_max >= cfg.n_max:
+            raise ValueError(f"{exc}; delete the file or rebuild it with `hcl table`") from None
+        if table.n_max >= n_max:
             return table
-        print(
-            f"warning: cache {cfg.table_path} covers {table.n_max} < {cfg.n_max}; rebuilding",
-            file=sys.stderr,
-        )
+        print(f"warning: cache {path} covers {table.n_max} < {n_max}; rebuilding", file=sys.stderr)
     else:
-        print(
-            f"warning: no table cache at {cfg.table_path}; building to {cfg.n_max}",
-            file=sys.stderr,
-        )
-    table = build_table(cfg.n_max)
+        print(f"warning: no table cache at {path}; building to {n_max}", file=sys.stderr)
+    table = build_table(n_max)
     try:
-        write_table_csv(table, cfg.table_path)
+        write_table_csv(table, path)
     except OSError as exc:
         print(f"warning: could not persist table cache: {exc}", file=sys.stderr)
     return table
 
 
-class SystemExit2(Exception):
-    """Usage or I/O failure mapped to exit code 2."""
-
-
 def cmd_table(args) -> int:
-    try:
-        table = build_table(args.n_max)
-        write_table_csv(table, args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = build_table(args.n_max)
+    write_table_csv(table, args.out)
     print(f"wrote {args.out}: D = 0..{table.n_max}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    table = _load_table(cfg)
-    ok, counterexample = verify_congruence(args.ell, args.a, args.b, cfg.n_max, table)
+    path, n_max = _common(args)
+    table = _load_table(path, n_max)
+    ok, counterexample = verify_congruence(args.ell, args.a, args.b, n_max, table)
     payload = {
         "ell": args.ell,
         "a": args.a,
         "b": args.b,
-        "n_max": cfg.n_max,
+        "n_max": n_max,
         "ok": ok,
         "counterexample": counterexample,
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("ell,a,b,n_max,ok,counterexample")
-        print(f"{args.ell},{args.a},{args.b},{cfg.n_max},{int(ok)},"
+        print(f"{args.ell},{args.a},{args.b},{n_max},{int(ok)},"
               f"{'' if counterexample is None else counterexample}")
     else:
         if ok:
-            print(f"H({args.a}n+{args.b}) == 0 (mod {args.ell}) verified for values <= {cfg.n_max}")
+            print(f"H({args.a}n+{args.b}) == 0 (mod {args.ell}) verified for values <= {n_max}")
         else:
             print(f"congruence fails: 12*H({counterexample}) != 0 (mod {args.ell})")
     return 0 if ok else 1
 
 
 def cmd_search(args) -> int:
-    cfg = _config(args)
-    table = _load_table(cfg)
-    certs = search(args.ell, args.a_max, cfg.n_max, table)
-    if cfg.output_format == "json":
+    path, n_max = _common(args)
+    table = _load_table(path, n_max)
+    certs = search(args.ell, args.a_max, n_max, table)
+    if args.format == "json":
         print("[" + ", ".join(certificate_to_json(c) for c in certs) + "]")
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("ell,a,b,n_max,class,maximal")
         for c in certs:
             print(f"{c.ell},{c.progression.a},{c.progression.b},{c.n_max_checked},"
@@ -141,32 +117,32 @@ def cmd_search(args) -> int:
 
 
 def cmd_square_class(args) -> int:
-    cfg = _config(args)
-    table = _load_table(cfg)
-    ok, counterexample = verify_congruence(args.ell, args.a, args.b, cfg.n_max, table)
+    path, n_max = _common(args)
+    table = _load_table(path, n_max)
+    ok, counterexample = verify_congruence(args.ell, args.a, args.b, n_max, table)
     if not ok:
         print(f"base congruence fails at {counterexample}", file=sys.stderr)
         return 1
     from .congruence import ArithmeticProgression, CongruenceCertificate, classify_progression
 
     cert = CongruenceCertificate(
-        args.ell, ArithmeticProgression(args.a, args.b), cfg.n_max,
+        args.ell, ArithmeticProgression(args.a, args.b), n_max,
         classify_progression(args.a, args.b), False,
     )
-    ok, failures = square_class_check(cert, args.u_max, cfg.n_max, table)
+    ok, failures = square_class_check(cert, args.u_max, n_max, table)
     bounds = ord_bound_report(cert)
     payload = {
         "ell": args.ell,
         "a": args.a,
         "b": args.b,
         "u_max": args.u_max,
-        "n_max": cfg.n_max,
+        "n_max": n_max,
         "ok": ok,
         "failures": failures,
         "ord_report": {str(p): e for p, e in sorted(bounds.orders.items())},
         "ord_within_bounds": bounds.within_bounds,
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         state = "holds" if ok else f"fails for u in {[u for u, _ in failures]}"
@@ -176,19 +152,15 @@ def cmd_square_class(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    cfg = _config(args)
-    table = _load_table(cfg)
-    try:
-        report = classify(args.ell, args.a, args.b, cfg.n_max, table)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    path, n_max = _common(args)
+    table = _load_table(path, n_max)
+    report = classify(args.ell, args.a, args.b, n_max, table)
     print(report_to_json(report, max_rows=None if args.full_evidence else args.max_rows))
     return 0 if report.case != DichotomyCase.INCONCLUSIVE else 1
 
 
 def cmd_holproj(args) -> int:
-    cfg = _config(args)
+    path, n_max = _common(args)
     payload: dict = {"a": args.a, "b": args.b, "beta": args.beta, "n": args.n}
     value = holproj.nonhol_coefficient(args.a, args.b, args.beta, args.n)
     payload["nonholomorphic_coefficient"] = str(value)
@@ -201,8 +173,7 @@ def cmd_holproj(args) -> int:
     except ValueError as exc:
         payload["q_subsets_error"] = str(exc)
     if args.projection:
-        cfg = Config(cfg.table_path, max(cfg.n_max, args.a * args.n), cfg.output_format)
-        table = _load_table(cfg)
+        table = _load_table(path, max(n_max, args.a * args.n))
         proj = holproj.exact_projection_coefficient(args.a, args.b, args.beta, args.n, table)
         payload["exact_projection"] = f"{proj.numerator}/{proj.denominator}"
     print(json.dumps(payload))
@@ -303,9 +274,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,8 +69,7 @@ def verify_congruence(
     check_ell(ell)
     if a < 1 or not 0 <= b < a:
         raise ValueError("need a >= 1 and 0 <= b < a")
-    if n_max > table.n_max:
-        raise ValueError(f"table covers D <= {table.n_max}, need {n_max}")
+    table.check_covers(n_max)
     vals = table.values[b : n_max + 1 : a]
     bad = np.nonzero(vals % _modulus(ell))[0]
     if bad.size:
@@ -136,8 +135,7 @@ def search(
     check_ell(ell)
     if n_max < 100 * a_max:
         raise ValueError("need n_max >= 100 * a_max for a meaningful search")
-    if n_max > table.n_max:
-        raise ValueError(f"table covers D <= {table.n_max}, need {n_max}")
+    table.check_covers(n_max)
     values = table.values[: n_max + 1]
     modulus = _modulus(ell)
     nz = np.empty(values.size, dtype=bool)

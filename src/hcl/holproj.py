@@ -302,8 +302,7 @@ def exact_projection_coefficient(
     if (beta * beta + b) % a:
         raise ValueError(f"beta^2 must be == -b (mod {a})")
     an = a * n
-    if an > table.n_max:
-        raise ValueError(f"table covers D <= {table.n_max}, need {an}")
+    table.check_covers(an)
     r = isqrt(an)
     hol = 0
     for c in (beta, -beta):

@@ -121,16 +121,15 @@ class HurwitzTable:
     n_max: int
     values: np.ndarray  # int32, values[D] == 12*H(D)
 
-    def covers(self, n: int) -> bool:
-        return n <= self.n_max
+    def check_covers(self, n: int) -> None:
+        """Raise ValueError unless the table reaches D = n."""
+        if n > self.n_max:
+            raise ValueError(f"table covers D <= {self.n_max}, need {n}")
 
     def twelve_h(self, D: int) -> int:
         if not 0 <= D <= self.n_max:
             raise IndexError(f"table covers 0..{self.n_max}, got {D}")
         return int(self.values[D])
-
-    def hurwitz(self, D: int) -> HurwitzValue:
-        return HurwitzValue(self.twelve_h(D))
 
 
 # The largest n_max build_table accepts.  There the table takes 0.8 GB, the

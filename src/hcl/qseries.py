@@ -4,29 +4,28 @@ A series keeps exact rational coefficients on the grid (1/M)Z, knows all
 coefficients for exponents below its precision bound, and stores only the
 nonzero ones.  Series are immutable values: every operation returns a new
 instance.
+
+This is the exact series composition (sieved Eisenstein series times theta
+series) that holproj.exact_projection_coefficient replaces with a direct sum
+over the table; its test checks the two against each other, and the
+benchmark's tracer spans these functions by name.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import check_ell, sqrt_mod
+from .arith import sqrt_mod
 from .hurwitz import HurwitzTable
 
 __all__ = [
     "QSeries",
-    "ModLSeries",
     "theta_series",
     "eisenstein_hol",
     "u_operator",
     "u_theta_decomposition",
-    "multiply",
-    "reduce_mod",
-    "series_to_json",
-    "series_from_json",
 ]
 
 
@@ -69,9 +68,6 @@ class QSeries:
         if idx.denominator != 1 or idx < 0:
             return Fraction(0)
         return self.coeffs.get(int(idx), Fraction(0))
-
-    def exponents(self) -> list[Fraction]:
-        return [Fraction(i, self.grid) for i in sorted(self.coeffs)]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -119,33 +115,6 @@ class QSeries:
         return True
 
 
-@dataclass(frozen=True)
-class ModLSeries:
-    """Same grid/precision structure with coefficients in Z/ellZ, ell prime > 3."""
-
-    modulus: int
-    grid: int
-    precision: Fraction
-    coeffs: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_ell(self.modulus, "modulus")
-        clean = {i: v % self.modulus for i, v in self.coeffs.items()}
-        object.__setattr__(self, "coeffs", {i: v for i, v in clean.items() if v})
-
-    def coefficient(self, exponent) -> int:
-        exp = Fraction(exponent)
-        if exp >= self.precision:
-            raise ValueError(f"exponent {exp} is beyond precision {self.precision}")
-        idx = exp * self.grid
-        if idx.denominator != 1 or idx < 0:
-            return 0
-        return self.coeffs.get(int(idx), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 def theta_series(a: int, beta: int, precision) -> QSeries:
     """Theta series on the grid (1/a)Z: coefficient at n^2/a counts integers
     n == beta (mod a) with that square."""
@@ -173,8 +142,7 @@ def eisenstein_hol(precision, table: HurwitzTable) -> QSeries:
     top = bound.numerator // bound.denominator
     if Fraction(top) == bound:
         top -= 1  # strict inequality: exponents < bound
-    if top > table.n_max:
-        raise ValueError(f"table covers D <= {table.n_max}, need D <= {top}")
+    table.check_covers(top)
     coeffs = {}
     for D in range(0, top + 1):
         t = table.twelve_h(D)
@@ -207,39 +175,3 @@ def u_theta_decomposition(a: int, b: int, precision) -> QSeries:
     for beta in sqrt_mod(b, a):
         out = out + theta_series(a, beta, bound)
     return out
-
-
-def multiply(x: QSeries, y: QSeries) -> QSeries:
-    """Cauchy product on the common grid; precision is the minimum of the two."""
-    return x * y
-
-
-def reduce_mod(x: QSeries, ell: int) -> ModLSeries:
-    """Coefficientwise reduction mod ell; denominators must be prime to ell."""
-    check_ell(ell)
-    out: dict[int, int] = {}
-    for idx, val in x.coeffs.items():
-        if val.denominator % ell == 0:
-            raise ValueError(
-                f"coefficient {val} at index {idx} has denominator divisible by {ell}"
-            )
-        out[idx] = val.numerator * pow(val.denominator, -1, ell) % ell
-    return ModLSeries(ell, x.grid, x.precision, out)
-
-
-def series_to_json(series: QSeries) -> str:
-    """JSON form: {"M": int, "B": "p/q", "coeffs": [[index, "num/den"], ...]}."""
-    payload = {
-        "M": series.grid,
-        "B": f"{series.precision.numerator}/{series.precision.denominator}",
-        "coeffs": [
-            [i, f"{c.numerator}/{c.denominator}"] for i, c in sorted(series.coeffs.items())
-        ],
-    }
-    return json.dumps(payload)
-
-
-def series_from_json(text: str) -> QSeries:
-    payload = json.loads(text)
-    coeffs = {int(i): Fraction(c) for i, c in payload["coeffs"]}
-    return QSeries(int(payload["M"]), Fraction(payload["B"]), coeffs)

@@ -261,7 +261,6 @@ def test_next_prime_in_class():
 def test_check_ell_is_the_one_prime_gt_3_rule():
     from hcl.congruence import verify_congruence
     from hcl.hurwitz import build_table
-    from hcl.qseries import ModLSeries, QSeries, reduce_mod
 
     for ell in (5, 7, 11, 13, 10007):
         check_ell(ell)
@@ -270,7 +269,3 @@ def test_check_ell_is_the_one_prime_gt_3_rule():
             check_ell(ell)
     with pytest.raises(ValueError, match=r"^ell must be a prime > 3$"):
         verify_congruence(9, 4, 3, 10, build_table(10))
-    with pytest.raises(ValueError, match=r"^ell must be a prime > 3$"):
-        reduce_mod(QSeries(1, 5, {}), 3)
-    with pytest.raises(ValueError, match=r"^modulus must be a prime > 3$"):
-        ModLSeries(4, 1, 5, {})

@@ -51,7 +51,7 @@ def test_table_command_over_the_cap(tmp_path, capsys):
 
 def test_table_command_unwritable(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--n-max", "10", "--out", str(tmp_path / "no" / "dir.csv"))
-    assert code == 2 and "error" in err
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_verify_ok_exit_zero(table_file, capsys):
@@ -160,7 +160,8 @@ def test_dichotomy_error_exit_two(table_file, capsys):
         capsys, "dichotomy", "--ell", "5", "--a", "4", "--b", "3",
         "--table", table_file, "--n-max", "1000",
     )
-    assert code == 2 and "error" in err
+    assert code == 2
+    assert err == "error: H(4n+3) is not == 0 (mod 5) up to 1000: fails at 3\n"
 
 
 def test_holproj_command(capsys):
@@ -213,8 +214,23 @@ def test_verify_refuses_truncated_cache(tmp_path, capsys):
         "--n-max", "2383", "--table", str(path),
     )
     assert code == 2 and "verified" not in out
-    assert "cut off" in err and "hcl table" in err
+    assert "cut off" in err and err.endswith("; delete the file or rebuild it with `hcl table`\n")
     assert path.read_bytes() == cut
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--ell", "5", "--a", "27", "--b", "9"),
+    ("search", "--ell", "5", "--a-max", "30"),
+    ("square-class", "--ell", "5", "--a", "27", "--b", "9"),
+    ("dichotomy", "--ell", "5", "--a", "27", "--b", "9"),
+    ("holproj", "--a", "55", "--b", "54", "--beta", "1", "--n", "167"),
+    ("holproj", "--a", "55", "--b", "54", "--beta", "1", "--n", "167", "--projection"),
+])
+def test_n_max_zero_exit_two_before_any_table_work(tmp_path, capsys, argv):
+    path = tmp_path / "never.csv"
+    code, out, err = run(capsys, *argv, "--n-max", "0", "--table", str(path))
+    assert (code, out, err) == (2, "", "error: n_max must be >= 1\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_refuses_cache_cell_beyond_int32(tmp_path, capsys):

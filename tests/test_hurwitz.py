@@ -185,6 +185,26 @@ def test_enumeration_matches_independent_oracle_sample():
         assert hurwitz(D).twelve_h == oracles.hurwitz_twelve_brute(D), D
 
 
+def test_check_covers_is_the_one_coverage_rule():
+    from hcl.congruence import search, verify_congruence
+    from hcl.holproj import exact_projection_coefficient
+    from hcl.qseries import eisenstein_hol
+
+    t = build_table(100)
+    t.check_covers(0)
+    t.check_covers(100)
+    cases = [
+        (lambda: t.check_covers(101), 101),
+        (lambda: verify_congruence(5, 4, 3, 200, t), 200),
+        (lambda: search(5, 1, 200, t), 200),
+        (lambda: exact_projection_coefficient(5, 4, 1, 30, t), 150),
+        (lambda: eisenstein_hol(150, t), 149),
+    ]
+    for call, need in cases:
+        with pytest.raises(ValueError, match=rf"^table covers D <= 100, need {need}$"):
+            call()
+
+
 def test_table_csv_roundtrip(tmp_path):
     t = build_table(50)
     path = tmp_path / "t.csv"

@@ -5,13 +5,8 @@ import pytest
 
 from hcl.hurwitz import build_table
 from hcl.qseries import (
-    ModLSeries,
     QSeries,
     eisenstein_hol,
-    multiply,
-    reduce_mod,
-    series_from_json,
-    series_to_json,
     theta_series,
     u_operator,
     u_theta_decomposition,
@@ -43,7 +38,7 @@ def test_eisenstein_examples(table):
     E = eisenstein_hol(9, table)
     assert E.coefficient(7) == 1
     assert E.coefficient(8) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^table covers D <= 3000, need 4999$"):
         eisenstein_hol(5000, table)
 
 
@@ -97,8 +92,8 @@ def test_multiply_identity_and_commutativity():
         }
         x = QSeries(3, 40, coeffs)
         y = QSeries(2, 25, {rng.randrange(0, 49): Fraction(rng.randrange(-5, 6)) for _ in range(5)})
-        assert multiply(x, one).agrees_with(x)
-        assert multiply(x, y).agrees_with(multiply(y, x))
+        assert (x * one).agrees_with(x)
+        assert (x * y).agrees_with(y * x)
 
 
 def test_multiply_against_direct_convolution():
@@ -108,7 +103,7 @@ def test_multiply_against_direct_convolution():
         yc = {rng.randrange(0, 30): Fraction(rng.randrange(-9, 10)) for _ in range(6)}
         x = QSeries(1, 30, xc)
         y = QSeries(1, 30, yc)
-        z = multiply(x, y)
+        z = x * y
         for e in range(30):
             direct = sum(
                 (xc.get(i, Fraction(0)) * yc.get(e - i, Fraction(0)) for i in range(e + 1)),
@@ -119,13 +114,13 @@ def test_multiply_against_direct_convolution():
 
 def test_theta_squared_coefficient():
     th = theta_series(1, 0, 20)
-    assert multiply(th, th).coefficient(2) == 4  # r_2(2)
+    assert (th * th).coefficient(2) == 4  # r_2(2)
 
 
 def test_precision_is_min_rule():
     x = QSeries(1, 10, {0: Fraction(1)})
     y = QSeries(1, 4, {0: Fraction(1)})
-    z = multiply(x, y)
+    z = x * y
     assert z.precision == 4
     with pytest.raises(ValueError):
         z.coefficient(5)
@@ -138,28 +133,3 @@ def test_constructor_validation():
         QSeries(1, 5, {-1: Fraction(1)})  # negative exponent
     s = QSeries(1, 5, {2: Fraction(0)})
     assert s.is_zero()
-
-
-def test_reduce_mod_examples(table):
-    r = reduce_mod(eisenstein_hol(5, table), 5)
-    assert r.coefficient(0) == 2  # -1/12 mod 5
-    assert reduce_mod(QSeries(1, 5, {}), 7).is_zero()
-    with pytest.raises(ValueError):
-        reduce_mod(QSeries(1, 5, {1: Fraction(1, 5)}), 5)
-    with pytest.raises(ValueError):
-        ModLSeries(4, 1, 5, {})  # modulus must be prime > 3
-
-
-def test_json_roundtrip(table):
-    s = u_operator(eisenstein_hol(40, table), 4, 3)
-    text = series_to_json(s)
-    back = series_from_json(text)
-    assert back.grid == s.grid and back.precision == s.precision
-    assert back.agrees_with(s)
-    # indices ascend in the serialized form
-    import json
-
-    payload = json.loads(text)
-    indices = [i for i, _ in payload["coeffs"]]
-    assert indices == sorted(indices)
-    assert isinstance(payload["B"], str) and "/" in payload["B"]
