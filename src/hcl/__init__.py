@@ -1,65 +1,14 @@
 """Exact Hurwitz class number tables, Ramanujan-type congruence search and
-certification, and holomorphic-projection coefficient combinatorics."""
+certification, and holomorphic-projection coefficient combinatorics.
 
-from .arith import (
-    Factorization,
-    FundamentalDecomposition,
-    factorize,
-    fundamental_decomposition,
-    is_fundamental,
-    kronecker,
-    p_part,
-    sigma1,
-    sqrt_mod,
-    unit_count,
-)
-from .congruence import (
-    ArithmeticProgression,
-    CongruenceCertificate,
-    HolomorphicClass,
-    classify_progression,
-    ord_bound_report,
-    search,
-    square_class_check,
-    square_class_witness,
-    verify_congruence,
-)
-from .dichotomy import (
-    DichotomyCase,
-    DichotomyReport,
-    check_assumptions,
-    classify,
-    enumerate_representations,
-    hecke_condition,
-)
-from .holproj import (
-    DistinguishedPrimes,
-    QSubsetDecomposition,
-    SubprogressionWitness,
-    exact_projection_coefficient,
-    find_distinguished_primes,
-    nonhol_coefficient,
-    proj_theta_product,
-    q_subset_decomposition,
-    subprogression_conditions,
-    subprogression_construct,
-)
-from .hurwitz import (
-    HurwitzTable,
-    HurwitzValue,
-    build_table,
-    class_number,
-    hurwitz,
-    hurwitz_via_formula,
-    read_table_csv,
-    write_table_csv,
-)
-from .qseries import (
-    QSeries,
-    eisenstein_hol,
-    theta_series,
-    u_operator,
-    u_theta_decomposition,
-)
+The package re-exports nothing; each public name lives in one submodule:
+  hcl.arith       factorization, Kronecker symbol, square roots modulo m
+  hcl.hurwitz     12*H(D) by enumeration and by formula, the int32 table, CSV cache
+  hcl.congruence  verification, search and certification of congruences
+  hcl.dichotomy   representation rows, the Hecke-type condition, the classifier
+  hcl.holproj     projected-product closed forms, subset decomposition, witnesses
+  hcl.qseries     exact q-expansions, theta and Eisenstein series, U_{a,b}
+  hcl.cli         the `hcl` command line
+"""
 
 __version__ = "0.1.0"

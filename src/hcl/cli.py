@@ -22,7 +22,10 @@ import sys
 
 from . import holproj
 from .congruence import (
+    ArithmeticProgression,
+    CongruenceCertificate,
     certificate_to_json,
+    classify_progression,
     ord_bound_report,
     search,
     square_class_check,
@@ -123,8 +126,6 @@ def cmd_square_class(args) -> int:
     if not ok:
         print(f"base congruence fails at {counterexample}", file=sys.stderr)
         return 1
-    from .congruence import ArithmeticProgression, CongruenceCertificate, classify_progression
-
     cert = CongruenceCertificate(
         args.ell, ArithmeticProgression(args.a, args.b), n_max,
         classify_progression(args.a, args.b), False,
@@ -204,7 +205,6 @@ def cmd_subprogression(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="table cache path (default: $HCL_TABLE or ./hurwitz_table.csv)")
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, help="largest value checked")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,12 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="search maximal congruence progressions with a <= a-max")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--a-max", type=int, required=True)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("square-class", help="check the congruence on the square class of b")
@@ -238,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--u-max", type=int, default=50)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_square_class)
 
     p = sub.add_parser("dichotomy", help="classify a verified congruence")

@@ -158,29 +158,24 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
     """Split nonhol_coefficient by subsets Q of the primes dividing a.
 
     Requires the square roots of -b modulo every prime power a_q to be exactly
-    the two classes +-beta; the subsets are then in bijection with the roots
-    modulo a through the Chinese Remainder Theorem.
+    the two distinct classes +-beta.  The roots modulo a are then in bijection
+    with the subsets, each labelled by the primes at which it is == beta.
     """
     an = _check_factorization_args(a, b, beta, n)
-    a_fact = factorize(a)
-    prime_powers = {p: p**e for p, e in a_fact.factors}
-    for p, pe in prime_powers.items():
-        expected = sorted({beta % pe, (-beta) % pe})
+    prime_powers = [(p, p**e) for p, e in factorize(a).factors]
+    for _, pe in prime_powers:
         local = sqrt_mod(-b, pe)
-        if local != expected or len(expected) != 2:
+        if local != sorted({beta % pe, (-beta) % pe}) or 2 * beta % pe == 0:
             raise ValueError(
                 f"square-root classes of -{b} mod {pe} are {local}, "
                 f"not the two distinct classes +-{beta}; subset decomposition undefined"
             )
-    primes = sorted(prime_powers)
-    # CRT idempotents: == 1 modulo p^e, == 0 modulo the other prime powers of a
-    idem = {p: (a // pe) * pow(a // pe, -1, pe) for p, pe in prime_powers.items()}
     divs = divisors(an)
-    contributions: dict[frozenset, int] = {}
-    for mask in range(1 << len(primes)):
-        subset = frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
-        bt = sum(idem[p] * (beta if p in subset else -beta) for p in primes) % a
-        contributions[subset] = _factor_pair_sum(a, beta, an, [bt], divs)
+    contributions = {
+        frozenset(p for p, pe in prime_powers if (bt - beta) % pe == 0):
+            _factor_pair_sum(a, beta, an, [bt], divs)
+        for bt in sqrt_mod(-b, a)
+    }
     return QSubsetDecomposition(a, b, beta, n, contributions)
 
 

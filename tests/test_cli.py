@@ -175,6 +175,15 @@ def test_holproj_command(capsys):
     assert payload["q_subsets"]["{5,11}"] == 55
 
 
+def test_holproj_reports_undefined_subsets(capsys):
+    code, out, _ = run(capsys, "holproj", "--a", "12", "--b", "8", "--beta", "2", "--n", "5")
+    assert code == 0
+    assert json.loads(out)["q_subsets_error"] == (
+        "square-root classes of -8 mod 4 are [0, 2], not the two distinct classes +-2; "
+        "subset decomposition undefined"
+    )
+
+
 def test_holproj_square_rejected(capsys):
     code, _, err = run(capsys, "holproj", "--a", "5", "--b", "4", "--beta", "1", "--n", "5")
     assert code == 2 and "square" in err
@@ -202,6 +211,18 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--ell", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("square-class", "--ell", "5", "--a", "27", "--b", "9", "--format", "csv"),
+    ("dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--format", "json"),
+    ("holproj", "--a", "55", "--b", "54", "--beta", "1", "--n", "167", "--format", "text"),
+])
+def test_ignored_format_values_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--table", str(tmp_path / "never.csv")])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_refuses_truncated_cache(tmp_path, capsys):

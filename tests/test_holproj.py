@@ -132,8 +132,29 @@ def test_q_subset_complement_symmetry():
 
 def test_q_subset_rejects_extra_root_classes():
     # -b = 0 mod 9 has three root classes mod 9, not just +-3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         q_subset_decomposition(9, 0, 3, 2)
+    assert str(exc.value) == (
+        "square-root classes of -0 mod 9 are [0, 3, 6], not the two distinct classes +-3; "
+        "subset decomposition undefined"
+    )
+
+
+def test_q_subset_rejects_beta_equal_to_minus_beta():
+    # 2*beta == 0 mod 2, so +-beta is a single class there
+    with pytest.raises(ValueError) as exc:
+        q_subset_decomposition(10, 5, 5, 3)
+    assert str(exc.value) == (
+        "square-root classes of -5 mod 2 are [1], not the two distinct classes +-5; "
+        "subset decomposition undefined"
+    )
+    # four roots mod 8 and 2*beta == 0 mod 3: 2^2 roots mod 24 in all, as many as subsets
+    with pytest.raises(ValueError) as exc:
+        q_subset_decomposition(24, 15, 3, 2)
+    assert str(exc.value) == (
+        "square-root classes of -15 mod 8 are [1, 3, 5, 7], not the two distinct classes +-3; "
+        "subset decomposition undefined"
+    )
 
 
 # ---------------------------

@@ -2,12 +2,12 @@ import errno
 import io
 import os
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import hcl.hurwitz as hurwitz_module
 import oracles
 from hcl.arith import is_fundamental, sigma1
 from hcl.hurwitz import (
@@ -102,8 +102,7 @@ def test_build_table_matches_strided_sweep(n_max):
     assert t.values.tolist() == oracles.build_table_strided_reference(n_max)
 
 
-_hurwitz = sys.modules["hcl.hurwitz"]  # `hcl.hurwitz` the attribute is the function
-_WINDOW = _hurwitz._WINDOW
+_WINDOW = hurwitz_module._WINDOW
 _LAST_ALONE = 4 * 257 * 258  # at this n_max the odd a = 257 forms the last batch of rows on its own
 
 
@@ -133,8 +132,8 @@ def test_windowed_build_ends_on_a_batch_boundary(monkeypatch):
         batches.append(sorted((start, stop) for start, stop, _ in rows))
         add_rows(values, rows)
 
-    add_rows = _hurwitz._add_rows
-    monkeypatch.setattr(_hurwitz, "_add_rows", recording)
+    add_rows = hurwitz_module._add_rows
+    monkeypatch.setattr(hurwitz_module, "_add_rows", recording)
     for n_max in (_LAST_ALONE - 1, _LAST_ALONE):
         batches.clear()
         values = build_table(n_max).values
@@ -300,9 +299,9 @@ def test_write_table_csv_is_atomic(tmp_path, monkeypatch, step):
     write_table_csv(build_table(50), path)
     before = path.read_bytes()
     if step == "write":
-        monkeypatch.setattr(_hurwitz, "open", _FullDisk, raising=False)
+        monkeypatch.setattr(hurwitz_module, "open", _FullDisk, raising=False)
     else:
-        monkeypatch.setattr(_hurwitz.os, "replace", _fail_replace)
+        monkeypatch.setattr(hurwitz_module.os, "replace", _fail_replace)
     with pytest.raises(OSError):
         write_table_csv(build_table(5000), path)
     monkeypatch.undo()

@@ -1,0 +1,32 @@
+"""The package entry point re-exports nothing: every public name has one home,
+`hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule."""
+
+import importlib
+import os
+import subprocess
+import sys
+import types
+
+import hcl
+
+SUBMODULES = ("arith", "hurwitz", "congruence", "dichotomy", "holproj", "qseries", "cli")
+
+
+def test_import_hcl_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, hcl\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy' or m.startswith(('numpy.', 'hcl.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hcl.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+def test_package_attributes_are_the_submodules():
+    for name in SUBMODULES:
+        module = importlib.import_module(f"hcl.{name}")
+        assert getattr(hcl, name) is module, name
+    from hcl import hurwitz
+
+    assert isinstance(hurwitz, types.ModuleType) and hurwitz is sys.modules["hcl.hurwitz"]
