@@ -154,11 +154,10 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def divisors(n: int | Factorization) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    fact = n if isinstance(n, Factorization) else factorize(n)
     divs = [1]
-    for p, e in fact.factors:
+    for p, e in factorize(n).factors:
         power = divs
         for _ in range(e):
             power = [d * p for d in power]

@@ -22,10 +22,7 @@ import sys
 
 from . import holproj
 from .congruence import (
-    ArithmeticProgression,
-    CongruenceCertificate,
     certificate_to_json,
-    classify_progression,
     ord_bound_report,
     search,
     square_class_check,
@@ -126,12 +123,8 @@ def cmd_square_class(args) -> int:
     if not ok:
         print(f"base congruence fails at {counterexample}", file=sys.stderr)
         return 1
-    cert = CongruenceCertificate(
-        args.ell, ArithmeticProgression(args.a, args.b), n_max,
-        classify_progression(args.a, args.b), False,
-    )
-    ok, failures = square_class_check(cert, args.u_max, n_max, table)
-    bounds = ord_bound_report(cert)
+    ok, failures = square_class_check(args.ell, args.a, args.b, args.u_max, n_max, table)
+    bounds = ord_bound_report(args.a, args.b)
     payload = {
         "ell": args.ell,
         "a": args.a,

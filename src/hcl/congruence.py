@@ -166,18 +166,17 @@ def search(
 
 
 def square_class_check(
-    cert: CongruenceCertificate, u_max: int, n_max: int, table: HurwitzTable
+    ell: int, a: int, b: int, u_max: int, n_max: int, table: HurwitzTable
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Verify the congruence on a*Z + b*u^2 for every u <= u_max coprime to a.
 
     Returns (ok, failures) where failures lists (u, least counterexample).
     """
-    a, b = cert.progression.a, cert.progression.b
     failures = []
     for u in range(1, u_max + 1):
         if gcd(u, a) != 1:
             continue
-        ok, witness = verify_congruence(cert.ell, a, b * u * u % a, n_max, table)
+        ok, witness = verify_congruence(ell, a, b * u * u % a, n_max, table)
         if not ok:
             failures.append((u, witness))
     return not failures, failures
@@ -215,8 +214,7 @@ class OrdBoundReport:
         return not self.violations
 
 
-def ord_bound_report(cert: CongruenceCertificate) -> OrdBoundReport:
-    a, b = cert.progression.a, cert.progression.b
+def ord_bound_report(a: int, b: int) -> OrdBoundReport:
     quotient = a // gcd(a, b)
     orders = {}
     violations = []

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from math import gcd, isqrt
+from math import isqrt
 from operator import index
 
 import numpy as np
@@ -27,11 +27,10 @@ from .arith import (
     factorize,
     is_fundamental,
     kronecker,
-    ord_p,
     p_part,
     primes_up_to,
 )
-from .congruence import verify_congruence
+from .congruence import ord_bound_report, verify_congruence
 from .hurwitz import HurwitzTable
 
 __all__ = [
@@ -130,11 +129,9 @@ def _hecke_residue(fp, kr, p: int, ell: int):
 
 def check_assumptions(a: int, b: int) -> AssumptionReport:
     """Valuation hypotheses on a/gcd(a,b) per prime divisor of a."""
-    quotient = a // gcd(a, b)
     report = {}
-    for p, _ in factorize(a).factors:
+    for p, e in ord_bound_report(a, b).orders.items():
         required = 2 if p == 2 else 1
-        e = ord_p(quotient, p)
         report[p] = (e, required, e >= required)
     return AssumptionReport(report)
 

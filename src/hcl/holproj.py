@@ -96,16 +96,18 @@ def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
     return an
 
 
-def _factor_pair_sum(a: int, beta: int, an: int, roots: list[int], divs: list[int]) -> int:
-    total = 0
-    for bt in roots:
-        r1 = (beta + bt) % a
-        r2 = (beta - bt) % a
-        for d1 in divs:
-            d2 = an // d1
-            if d1 % a == r1 and d2 % a == r2 and d1 != d2:
-                total += min(d1, d2)
-    return total
+def _pair_sums_by_root(a: int, beta: int, an: int) -> dict[int, int]:
+    """Sums of min(d1, d2) over a*n = d1*d2 with d1 != d2 and d1 + d2 == 2*beta
+    (mod a), keyed by beta_tilde = d1 - beta mod a.  Then d2 == beta - beta_tilde,
+    and beta^2 - beta_tilde^2 == d1*d2 == 0 (mod a) makes beta_tilde a square root
+    of -b without solving for it.  Roots without a pair are absent."""
+    sums: dict[int, int] = {}
+    for d1 in divisors(an):
+        d2 = an // d1
+        if d1 != d2 and (d1 + d2 - 2 * beta) % a == 0:
+            bt = (d1 - beta) % a
+            sums[bt] = sums.get(bt, 0) + min(d1, d2)
+    return sums
 
 
 def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
@@ -123,9 +125,12 @@ def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
     carry no same-parity condition and the congruences are pinned to +beta.
     The two agree on the pinned tuples and at most distinguished indices; see
     test_routes_differ_in_general and acceptance item A7.
+
+    One divisor walk finds each beta_tilde from its pairs, so no square root
+    of -b is solved (see _pair_sums_by_root).
     """
     an = _check_factorization_args(a, b, beta, n)
-    total = _factor_pair_sum(a, beta, an, sqrt_mod(-b, a), divisors(an))
+    total = sum(_pair_sums_by_root(a, beta, an).values())
     if total % 2:
         raise ArithmeticError("factorization sum must be even")
     return -(total // 2)
@@ -162,19 +167,20 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
     with the subsets, each labelled by the primes at which it is == beta.
     """
     an = _check_factorization_args(a, b, beta, n)
+    roots = sqrt_mod(-b, a)
     prime_powers = [(p, p**e) for p, e in factorize(a).factors]
     for _, pe in prime_powers:
-        local = sqrt_mod(-b, pe)
+        # beta is a root mod a, so by CRT these are all the roots mod pe
+        local = sorted({bt % pe for bt in roots})
         if local != sorted({beta % pe, (-beta) % pe}) or 2 * beta % pe == 0:
             raise ValueError(
                 f"square-root classes of -{b} mod {pe} are {local}, "
                 f"not the two distinct classes +-{beta}; subset decomposition undefined"
             )
-    divs = divisors(an)
+    sums = _pair_sums_by_root(a, beta, an)
     contributions = {
-        frozenset(p for p, pe in prime_powers if (bt - beta) % pe == 0):
-            _factor_pair_sum(a, beta, an, [bt], divs)
-        for bt in sqrt_mod(-b, a)
+        frozenset(p for p, pe in prime_powers if (bt - beta) % pe == 0): sums.get(bt, 0)
+        for bt in roots
     }
     return QSubsetDecomposition(a, b, beta, n, contributions)
 
@@ -303,8 +309,6 @@ def exact_projection_coefficient(
     for c in (beta, -beta):
         k = np.arange(-r + (c + r) % a, r + 1, a)
         hol += int(table.values[an - k * k].sum(dtype=np.int64))
-    completed = sum(
-        proj_theta_product(a, bt, beta, n) + proj_theta_product(a, bt, -beta, n)
-        for bt in sqrt_mod(-b, a)
-    )
+    # even in beta: proj_theta_product's square term and m_signs both count m == +-beta
+    completed = 2 * sum(proj_theta_product(a, bt, beta, n) for bt in sqrt_mod(-b, a))
     return Fraction(hol, 12) + Fraction(completed, 16)

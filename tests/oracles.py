@@ -174,22 +174,28 @@ def proj_theta_brute(a: int, beta_tilde: int, beta: int, n: int) -> int:
     return -4 * total
 
 
-def nonhol_brute(a: int, b: int, beta: int, n: int) -> int:
-    """Factorization double sum by naive divisor scan."""
+def factor_pair_sums_brute(a: int, b: int, beta: int, n: int) -> dict[int, int]:
+    """The inner sums of the factorization form, one per square root bt of -b
+    mod a (found by scanning 0 <= bt < a), by naive divisor scan of a*n.
+    Pairs with d1 = d2 add nothing."""
     an = a * n
-    total = 0
-    for bt in range(a):
-        if (bt * bt + b) % a:
-            continue
-        for d1 in range(1, an + 1):
-            if an % d1:
-                continue
+    divs = divisors_brute(an)
+    sums = {}
+    for bt in sqrt_mod_brute(-b, a):
+        sums[bt] = 0
+        for d1 in divs:
             d2 = an // d1
             if (d1 - beta - bt) % a == 0 and (d2 - beta + bt) % a == 0:
                 if d1 < d2:
-                    total += d1
+                    sums[bt] += d1
                 elif d2 < d1:
-                    total += d2
+                    sums[bt] += d2
+    return sums
+
+
+def nonhol_brute(a: int, b: int, beta: int, n: int) -> int:
+    """Factorization double sum by naive divisor scan."""
+    total = sum(factor_pair_sums_brute(a, b, beta, n).values())
     assert total % 2 == 0
     return -total // 2
 

@@ -14,10 +14,7 @@ import pytest
 import oracles
 from hcl.arith import factorize, is_fundamental, sqrt_mod
 from hcl.congruence import (
-    ArithmeticProgression,
-    CongruenceCertificate,
     HolomorphicClass,
-    classify_progression,
     ord_bound_report,
     search,
     square_class_check,
@@ -103,10 +100,7 @@ def test_02_nonholomorphic_divisibility_property(search_results):
 def test_03_square_class_property(table_1m):
     failures = []
     for ell, a, b in SIX_CONGRUENCES:
-        cert = CongruenceCertificate(
-            ell, ArithmeticProgression(a, b), 10**6, classify_progression(a, b), True
-        )
-        ok, bad = square_class_check(cert, 50, 10**6, table_1m)
+        ok, bad = square_class_check(ell, a, b, 50, 10**6, table_1m)
         if not ok:
             failures.append((ell, a, b, bad[:3]))
     report("A3 square-class closure, u <= 50, N = 10^6", not failures)
@@ -118,14 +112,10 @@ def test_04_valuation_bounds(search_results):
     violations = []
     for ell, certs in results.items():
         for cert in certs:
-            r = ord_bound_report(cert)
+            r = ord_bound_report(cert.progression.a, cert.progression.b)
             if not r.within_bounds:
                 violations.append((ell, cert.progression, r.orders))
-    cert_512 = CongruenceCertificate(
-        11, ArithmeticProgression(512, 192), 10**6,
-        classify_progression(512, 192), True,
-    )
-    ord2 = ord_bound_report(cert_512).orders.get(2)
+    ord2 = ord_bound_report(512, 192).orders.get(2)
     ok = not violations and ord2 == 3
     report("A4 valuation bounds on maximal certificates", ok, f"ord_2(512/64) = {ord2}")
     assert not violations, violations

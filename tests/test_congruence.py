@@ -200,14 +200,12 @@ def test_search_deterministic(table_small):
 
 
 def test_square_class_check_passes_on_known(table_1m):
-    cert = make_cert(5, 125, 25, 10**6)
-    ok, failures = square_class_check(cert, 10, 10**6, table_1m)
+    ok, failures = square_class_check(5, 125, 25, 10, 10**6, table_1m)
     assert ok and not failures
 
 
 def test_square_class_u1_is_base_check(table_1m):
-    cert = make_cert(5, 125, 25, 10**5)
-    ok, failures = square_class_check(cert, 1, 10**5, table_1m)
+    ok, failures = square_class_check(5, 125, 25, 1, 10**5, table_1m)
     assert ok
 
 
@@ -263,16 +261,16 @@ def test_square_class_witness_rejects_bad_inputs():
 
 
 def test_ord_bound_report_examples():
-    r = ord_bound_report(make_cert(11, 512, 192, 10**4))
+    r = ord_bound_report(512, 192)
     assert r.orders == {2: 3} and r.within_bounds
-    r = ord_bound_report(make_cert(5, 125, 25, 10**4))
+    r = ord_bound_report(125, 25)
     assert r.orders == {5: 1} and r.within_bounds
-    r = ord_bound_report(make_cert(5, 1, 0, 10**4))
+    r = ord_bound_report(1, 0)
     assert r.orders == {} and r.within_bounds
 
 
 def test_ord_bound_report_flags_violations():
-    r = ord_bound_report(make_cert(5, 3**2 * 4, 4, 10**4))
+    r = ord_bound_report(3**2 * 4, 4)
     assert r.orders[3] == 2 and 3 in r.violations and not r.within_bounds
 
 

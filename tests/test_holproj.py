@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 import oracles
+import hcl.holproj as holproj_module
 from hcl.arith import sqrt_mod
 from hcl.holproj import (
     SubprogressionWitness,
@@ -52,6 +53,17 @@ def test_proj_theta_product_matches_direct_scan():
         ), (a, bt, beta, n)
 
 
+def test_proj_theta_product_is_even_in_both_residues():
+    # exact_projection_coefficient counts the -beta term as a second +beta term
+    for a in range(1, 16):
+        for bt in range(a):
+            for beta in range(a):
+                for n in (0, 1, 3, 4, 12, 35):
+                    value = proj_theta_product(a, bt, beta, n)
+                    assert value == proj_theta_product(a, bt, -beta, n), (a, bt, beta, n)
+                    assert value == proj_theta_product(a, -bt, beta, n), (a, bt, beta, n)
+
+
 # ---------------------------
 # factorization form
 # ---------------------------
@@ -85,9 +97,46 @@ def test_nonhol_matches_divisor_scan():
         checked += 1
 
 
+def test_pair_walk_matches_per_root_sums():
+    # the walk keys each pair by d1 - beta and never solves bt^2 == -b; squares
+    # a*n (rejected by the public forms) check that d1 = d2 adds nothing
+    for a in range(1, 40):
+        for beta in range(a):
+            b = (-beta * beta) % a
+            for n in (1, 6, a, 9 * a):
+                want = oracles.factor_pair_sums_brute(a, b, beta, n)
+                got = holproj_module._pair_sums_by_root(a, beta, a * n)
+                assert got == {bt: v for bt, v in want.items() if v}, (a, beta, n)
+
+
 # ---------------------------
 # subset decomposition
 # ---------------------------
+
+
+def test_q_subset_contributions_match_per_root_sums():
+    for a in range(1, 60):
+        prime_powers = [(p, p**e) for p, e in oracles.factor_brute(a)]
+        for beta in range(a):
+            b = (-beta * beta) % a
+            defined = all(
+                oracles.sqrt_mod_brute(-b, pe) == sorted({beta % pe, -beta % pe})
+                and 2 * beta % pe
+                for _, pe in prime_powers
+            )
+            for n in (1, 2, 7, 12, 30, 60):
+                if isqrt(a * n) ** 2 == a * n:
+                    continue
+                if not defined:
+                    with pytest.raises(ValueError, match="subset decomposition undefined"):
+                        q_subset_decomposition(a, b, beta, n)
+                    continue
+                want = {
+                    frozenset(p for p, pe in prime_powers if (bt - beta) % pe == 0): v
+                    for bt, v in oracles.factor_pair_sums_brute(a, b, beta, n).items()
+                }
+                got = q_subset_decomposition(a, b, beta, n).contributions
+                assert got == want, (a, b, beta, n)
 
 
 def test_q_subset_total_matches_nonhol():
