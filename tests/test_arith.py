@@ -70,8 +70,21 @@ def test_factorize_large_cofactors():
 
 def test_divisors_matches_brute():
     for n in range(1, 5001):
-        want = oracles.divisors_brute(n)
+        want = tuple(oracles.divisors_brute(n))
         assert divisors(n) == want, n
+
+
+@pytest.mark.parametrize("bad, kind", [(0, ValueError), (-4, ValueError), (6.0, TypeError)])
+def test_divisors_rejects_the_same_arguments_after_caching(bad, kind):
+    def error(n):
+        with pytest.raises(kind) as info:
+            divisors(n)
+        return str(info.value)
+
+    divisors.cache_clear()
+    before = error(bad)
+    assert divisors(6) == (1, 2, 3, 6)
+    assert error(bad) == before  # lru_cache stores no exception, and keys 6.0 apart from 6
 
 
 def test_sigma1_values():

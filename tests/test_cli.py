@@ -266,3 +266,17 @@ def test_verify_refuses_cache_cell_beyond_int32(tmp_path, capsys):
     )
     assert code == 2 and "verified" not in out and "malformed row" in err
     assert path.read_bytes() == b"\r\n".join(lines)
+
+
+@pytest.mark.parametrize("cells", [lambda D, v: f"{D}", lambda D, v: f"{D},{v},0"], ids=["one", "three"])
+def test_verify_refuses_cache_with_wrong_column_count(tmp_path, capsys, cells):
+    path = tmp_path / "columns.csv"
+    rows = [cells(D, v) for D, v in enumerate(build_table(5000).values.tolist())]
+    data = "".join(line + "\r\n" for line in ["D,twelveH", *rows]).encode()
+    path.write_bytes(data)
+    code, out, err = run(
+        capsys, "verify", "--ell", "5", "--a", "125", "--b", "25",
+        "--n-max", "5000", "--table", str(path),
+    )
+    assert code == 2 and out == "" and "malformed row" in err
+    assert path.read_bytes() == data

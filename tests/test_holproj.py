@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import hcl.holproj as holproj_module
-from hcl.arith import sqrt_mod
+from hcl.arith import divisors, sqrt_mod
 from hcl.holproj import (
     SubprogressionWitness,
     exact_projection_coefficient,
@@ -428,3 +428,48 @@ def test_exact_projection_insufficient_table():
     table = build_table(10)
     with pytest.raises(ValueError):
         exact_projection_coefficient(5, 4, 1, 100, table)
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _closed_forms(table, before_each):
+    """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n."""
+    out = []
+    for a in range(1, 40):
+        for beta in range(a):
+            b = -beta * beta % a
+            for n in (1, 2, 7, 30, 167):
+                for fn, args in [
+                    (nonhol_coefficient, (a, b, beta, n)),
+                    (lambda *t: q_subset_decomposition(*t).contributions, (a, b, beta, n)),
+                    *[(proj_theta_product, (a, bt, beta, n)) for bt in sqrt_mod(-b, a)],
+                    (exact_projection_coefficient, (a, b, beta, n, table)),
+                ]:
+                    before_each()
+                    out.append(_outcome(fn, *args))
+    return out
+
+
+def test_divisor_cache_changes_no_closed_form():
+    table = build_table(39 * 167)
+    cold = _closed_forms(table, divisors.cache_clear)
+    warm = _closed_forms(table, lambda: None)
+    assert warm == cold
+
+
+def test_closed_forms_share_one_divisor_walk_per_an():
+    a, n = 55, 167
+    divisors.cache_clear()
+    for beta in range(a):
+        b = -beta * beta % a
+        nonhol_coefficient(a, b, beta, n)
+        _outcome(q_subset_decomposition, a, b, beta, n)  # undefined for some beta
+        for bt in sqrt_mod(-b, a):
+            proj_theta_product(a, bt, beta, n)
+    assert divisors.cache_info().misses == 1

@@ -256,6 +256,10 @@ def _damage(kind, values):
         _edit_row(lines, 4000, 3000000000)
     elif kind == "missing D row":
         del lines[1234 + 1]
+    elif kind == "one column":
+        lines[1:] = [f"{D}".encode() for D in range(len(values))]
+    elif kind == "extra column":
+        lines[1:] = [line + b",0" for line in lines[1:]]
     return b"".join(line + b"\r\n" for line in lines)
 
 
@@ -266,6 +270,8 @@ DAMAGES = {  # kind -> the defect the reader must name
     "non-integer cell": "malformed row",
     "cell beyond int32": "malformed row",
     "missing D row": "row 1235 holds D = 1235",
+    "one column": "malformed row: expected 2 columns, got 1",
+    "extra column": "malformed row: expected 2 columns, got 3",
 }
 
 
