@@ -438,16 +438,27 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _clear_caches():
+    divisors.cache_clear()
+    holproj_module._subset_labels.cache_clear()
+
+
 def _closed_forms(table, before_each):
-    """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n."""
+    """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n.
+    The subset split also takes unnormalised spellings of (b, beta): its cache
+    is keyed on the raw arguments, and its messages print them verbatim."""
     out = []
     for a in range(1, 40):
         for beta in range(a):
             b = -beta * beta % a
+            spellings = [(b, beta), (b, beta + a), (b, -beta), (b - a, beta), (float(b), beta)]
             for n in (1, 2, 7, 30, 167):
                 for fn, args in [
                     (nonhol_coefficient, (a, b, beta, n)),
-                    (lambda *t: q_subset_decomposition(*t).contributions, (a, b, beta, n)),
+                    *[
+                        (lambda *t: q_subset_decomposition(*t).contributions, (a, sb, sbeta, n))
+                        for sb, sbeta in spellings
+                    ],
                     *[(proj_theta_product, (a, bt, beta, n)) for bt in sqrt_mod(-b, a)],
                     (exact_projection_coefficient, (a, b, beta, n, table)),
                 ]:
@@ -458,7 +469,7 @@ def _closed_forms(table, before_each):
 
 def test_divisor_cache_changes_no_closed_form():
     table = build_table(39 * 167)
-    cold = _closed_forms(table, divisors.cache_clear)
+    cold = _closed_forms(table, _clear_caches)
     warm = _closed_forms(table, lambda: None)
     assert warm == cold
 
@@ -473,3 +484,40 @@ def test_closed_forms_share_one_divisor_walk_per_an():
         for bt in sqrt_mod(-b, a):
             proj_theta_product(a, bt, beta, n)
     assert divisors.cache_info().misses == 1
+
+
+def test_argument_errors_win_over_a_cached_undefined_verdict():
+    holproj_module._subset_labels.cache_clear()
+    assert _outcome(q_subset_decomposition, 9, 0, 3, 2) == (
+        "ValueError",
+        "square-root classes of -0 mod 9 are [0, 3, 6], "
+        "not the two distinct classes +-3; subset decomposition undefined",
+    )
+    # a verdict cached for a beta that fails the argument rule
+    assert isinstance(holproj_module._subset_labels(9, 0, 1), str)
+    for args, message in [
+        ((9, 0, 3, 4), "a*n = 36 is a perfect square"),
+        ((9, 0, 3, 0), "need a >= 1 and n >= 1"),
+        ((9, 0, 1, 2), "beta^2 must be == -b (mod 9)"),
+    ]:
+        assert _outcome(q_subset_decomposition, *args) == ("ValueError", message), args
+
+
+def test_subset_labels_are_solved_once_per_a_b_beta(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sqrt_mod(*args)
+
+    monkeypatch.setattr(holproj_module, "sqrt_mod", counted)
+    for a, b, beta, defined in [(55, 54, 1, True), (9, 0, 3, False)]:
+        holproj_module._subset_labels.cache_clear()
+        calls.clear()
+        outcomes = [_outcome(q_subset_decomposition, a, b, beta, n) for n in range(1, 201)]
+        assert calls == [(-b, a)], (a, b, beta)
+        assert any(isinstance(o, holproj_module.QSubsetDecomposition) for o in outcomes) == defined
+
+    want = dict(q_subset_decomposition(55, 54, 1, 2).contributions)
+    q_subset_decomposition(55, 54, 1, 2).contributions[frozenset()] += 1000
+    assert q_subset_decomposition(55, 54, 1, 2).contributions == want

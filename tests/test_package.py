@@ -1,5 +1,6 @@
 """The package entry point re-exports nothing: every public name has one home,
-`hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule."""
+`hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  Every
+memo cache in the package is bounded."""
 
 import importlib
 import os
@@ -30,3 +31,14 @@ def test_package_attributes_are_the_submodules():
     from hcl import hurwitz
 
     assert isinstance(hurwitz, types.ModuleType) and hurwitz is sys.modules["hcl.hurwitz"]
+
+
+def test_every_cache_is_bounded():
+    found = {}
+    for name in SUBMODULES:
+        for value in vars(importlib.import_module(f"hcl.{name}")).values():
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
+    assert {"hcl.arith.divisors", "hcl.holproj._subset_labels"} <= found.keys()
+    for name, maxsize in found.items():
+        assert type(maxsize) is int, (name, maxsize)
