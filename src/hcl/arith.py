@@ -1,11 +1,11 @@
 """Elementary exact number-theoretic primitives shared by the other modules.
 
-Everything here is a pure function of its arguments.  Three kinds of state
-only remember results:
+Everything here is a pure function of its arguments, returning ints, lists or
+tuples.  Three kinds of state only remember results:
 - the prime sieve and the smallest-prime-factor table, built once on first use
   and never mutated afterwards;
-- `_sqrt_tables`, which gains one table of square roots per new small modulus
-  and never changes a table it holds;
+- `_sqrt_tables`, which gains one table of square roots per new prime power
+  below 10^4 and never changes a table it holds (larger prime powers lift);
 - the bounded cache on `divisors`, whose entries are immutable tuples.
 A racing thread at worst builds a sieve or a square-root table twice with the
 same content, and `functools.lru_cache` takes its own lock, so the module is
@@ -14,7 +14,6 @@ safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -94,6 +93,12 @@ def check_ell(ell: int) -> None:
         raise ValueError("ell must be a prime > 3")
 
 
+def check_fundamental(D: int) -> None:
+    """Raise ValueError unless -D is a fundamental discriminant."""
+    if not is_fundamental(D):
+        raise ValueError(f"-{D} is not a fundamental discriminant")
+
+
 def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7) -> int:
     """Smallest prime p > lower with p == residue (mod modulus), searched up to cap.
 
@@ -112,16 +117,8 @@ def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n, factors as (prime, exponent) with primes ascending."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization by trial division against the prime sieve.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization as (prime, exponent) pairs, primes ascending.
 
     Accepts 1 <= n <= 2^63 - 1.  A cofactor surviving all sieve primes is
     prime whenever it is below 10^12; larger composite cofactors are out of
@@ -130,7 +127,7 @@ def factorize(n: int) -> Factorization:
     if not 1 <= n <= 2**63 - 1:
         raise ValueError(f"factorize expects 1 <= n <= 2^63-1, got {n}")
     if n == 1:
-        return Factorization(1, ())
+        return ()
     factors: list[tuple[int, int]] = []
     m = n
     if m < _SIEVE_LIMIT:
@@ -143,7 +140,7 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors.append((p, e))
-        return Factorization(n, tuple(factors))
+        return tuple(factors)
     for p in sieve_primes():
         if p * p > m:
             break
@@ -159,7 +156,7 @@ def factorize(n: int) -> Factorization:
         else:
             raise ValueError(f"cannot factor {n}: composite cofactor {m} beyond sieve")
     factors.sort()
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=256)
@@ -175,7 +172,7 @@ def divisors(n: int) -> tuple[int, ...]:
     `holproj` benchmark sweep, measured at maxsize 16.
     """
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         power = divs
         for _ in range(e):
             power = [d * p for d in power]
@@ -189,7 +186,7 @@ def sigma1(n: int) -> int:
     if n < 1:
         raise ValueError("sigma1 expects n >= 1")
     total = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
 
@@ -314,18 +311,25 @@ def _sqrt_mod_2_power_unit(x: int, e: int) -> list[int]:
 
 
 def _sqrt_mod_prime_power(x: int, p: int, e: int) -> list[int]:
-    """All roots of z^2 == x (mod p^e)."""
+    """All roots of z^2 == x (mod p^e), ascending; tabled below _BRUTE_SQRT_LIMIT."""
     mod = p**e
     x %= mod
-    if mod < _BRUTE_SQRT_LIMIT:
-        table = _sqrt_tables.get(mod)
-        if table is None:
-            table = {}
-            for z in range(mod):
-                table.setdefault(z * z % mod, []).append(z)
-            table = {k: tuple(v) for k, v in table.items()}
-            _sqrt_tables[mod] = table
-        return list(table.get(x, ()))
+    if mod >= _BRUTE_SQRT_LIMIT:
+        return _sqrt_mod_prime_power_lifted(x, p, e)
+    table = _sqrt_tables.get(mod)
+    if table is None:
+        table = {}
+        for z in range(mod):
+            table.setdefault(z * z % mod, []).append(z)
+        table = {k: tuple(v) for k, v in table.items()}
+        _sqrt_tables[mod] = table
+    return list(table.get(x, ()))
+
+
+def _sqrt_mod_prime_power_lifted(x: int, p: int, e: int) -> list[int]:
+    """All roots of z^2 == x (mod p^e), 0 <= x < p^e, ascending: the roots of
+    the unit part u = x / p^k modulo p^(e-k), lifted from p, times p^(k/2)."""
+    mod = p**e
     if x == 0:
         half = p ** ((e + 1) // 2)
         return list(range(0, mod, half))
@@ -355,7 +359,7 @@ def sqrt_mod(x: int, m: int) -> list[int]:
     x %= m
     roots: list[int] = [0]
     mod = 1
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         pe = p**e
         local = _sqrt_mod_prime_power(x % pe, p, e)
         if not local:
@@ -368,7 +372,7 @@ def sqrt_mod(x: int, m: int) -> list[int]:
 def squarefree_part(n: int) -> tuple[int, int]:
     """Write n = s * f^2 with s squarefree; returns (s, f)."""
     s, f = 1, 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         if e % 2:
             s *= p
         f *= p ** (e // 2)
@@ -385,36 +389,3 @@ def is_fundamental(D: int) -> bool:
         k = D // 4
         return k % 4 in (1, 2) and squarefree_part(k)[1] == 1
     return False
-
-
-@dataclass(frozen=True)
-class FundamentalDecomposition:
-    """n = D * f^2 with -D a fundamental discriminant."""
-
-    D: int
-    f: int
-
-
-def fundamental_decomposition(n: int) -> FundamentalDecomposition:
-    """Unique decomposition n = D * f^2 with -D fundamental.
-
-    Requires -n to be a discriminant, i.e. n == 0 or 3 (mod 4), n > 0.
-    """
-    if n < 1 or n % 4 in (1, 2):
-        raise ValueError(f"-{n} is not a discriminant")
-    s, f = squarefree_part(n)
-    if s % 4 == 3:
-        return FundamentalDecomposition(s, f)
-    # s == 1 or 2 (mod 4): the fundamental discriminant is -4s, so f must be even
-    return FundamentalDecomposition(4 * s, f // 2)
-
-
-def unit_count(n: int) -> int:
-    """Number of units in the imaginary quadratic order of discriminant -n."""
-    if n < 1 or n % 4 in (1, 2):
-        raise ValueError(f"-{n} is not a discriminant")
-    if n == 3:
-        return 6
-    if n == 4:
-        return 4
-    return 2

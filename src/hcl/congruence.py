@@ -67,8 +67,7 @@ def verify_congruence(
     Returns (True, None) on success, else (False, least failing value a*n+b).
     """
     check_ell(ell)
-    if a < 1 or not 0 <= b < a:
-        raise ValueError("need a >= 1 and 0 <= b < a")
+    ArithmeticProgression(a, b)  # raises unless a >= 1 and 0 <= b < a
     table.check_covers(n_max)
     vals = table.values[b : n_max + 1 : a]
     bad = np.nonzero(vals % _modulus(ell))[0]
@@ -149,7 +148,7 @@ def search(
     for a, b in sorted(passing):
         covered = any(
             (a // q, b % (a // q)) in passing
-            for q, _ in factorize(a).factors
+            for q, _ in factorize(a)
         )
         if covered:
             continue
@@ -218,7 +217,7 @@ def ord_bound_report(a: int, b: int) -> OrdBoundReport:
     quotient = a // gcd(a, b)
     orders = {}
     violations = []
-    for p, _ in factorize(a).factors:
+    for p, _ in factorize(a):
         e = ord_p(quotient, p)
         orders[p] = e
         if e > (3 if p == 2 else 1):

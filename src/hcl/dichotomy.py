@@ -24,8 +24,8 @@ from operator import index
 import numpy as np
 
 from .arith import (
+    check_fundamental,
     factorize,
-    is_fundamental,
     kronecker,
     p_part,
     primes_up_to,
@@ -114,8 +114,7 @@ def hecke_condition(D: int, f: int, p: int, ell: int) -> int:
     """(sigma1(f_p) - (-D|p) * sigma1(f_p/p)) mod ell, where f_p is the p-part
     of f.  For p not dividing f the local factor is empty and the neutral
     residue 1 is returned, so such primes never witness the condition."""
-    if not is_fundamental(D):
-        raise ValueError(f"-{D} is not a fundamental discriminant")
+    check_fundamental(D)
     fp = p_part(f, p)
     return _hecke_residue(fp, kronecker(-D, p), p, ell)
 
@@ -183,7 +182,7 @@ def enumerate_representations(
     whole progression at once; a RepresentationRow is built only when the
     sequence is indexed, sliced or iterated.
     """
-    primes = [p for p, _ in factorize(a).factors]
+    primes = [p for p, _ in factorize(a)]
     start = b if b else a
     if start < 1:  # values n <= 0 are no discriminants: the first with n == 0, 3 (mod 4) is an error
         for n in range(start, min(n_max, 0) + 1, a):

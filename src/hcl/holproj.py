@@ -48,6 +48,18 @@ __all__ = [
 PRIME_SEARCH_CAP = 10**7
 
 
+def _check_a_n(a: int, n: int, n_min: int) -> None:
+    """The rule a >= 1 and n >= n_min of every closed form."""
+    if a < 1 or n < n_min:
+        raise ValueError(f"need a >= 1 and n >= {n_min}")
+
+
+def _check_root(a: int, b: int, beta: int) -> None:
+    """The rule that beta is a square root of -b mod a."""
+    if (beta * beta + b) % a:
+        raise ValueError(f"beta^2 must be == -b (mod {a})")
+
+
 def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
     """Coefficient at e(n*tau) of the normalized projection of the product of
     the completed theta component theta*_{a,beta_tilde} with theta_{a,beta}:
@@ -60,8 +72,7 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
     e == f (mod 2): m = +-(e+f)/2, mt = +-(f-e)/2, all four sign choices,
     filtered by the congruences.
     """
-    if a < 1 or n < 0:
-        raise ValueError("need a >= 1 and n >= 0")
+    _check_a_n(a, n, 0)
     an = a * n
     total = 0
     if beta_tilde % a == 0 and an > 0:
@@ -88,10 +99,8 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
 
 def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
     """The argument rule of the factorization form; returns a*n."""
-    if a < 1 or n < 1:
-        raise ValueError("need a >= 1 and n >= 1")
-    if (beta * beta + b) % a:
-        raise ValueError(f"beta^2 must be == -b (mod {a})")
+    _check_a_n(a, n, 1)
+    _check_root(a, b, beta)
     an = a * n
     r = isqrt(an)
     if r * r == an:
@@ -176,7 +185,7 @@ def _subset_labels(a: int, b: int, beta: int) -> tuple[tuple[int, frozenset], ..
     as the message prints them verbatim.
     """
     roots = sqrt_mod(-b, a)
-    prime_powers = [(p, p**e) for p, e in factorize(a).factors]
+    prime_powers = [(p, p**e) for p, e in factorize(a)]
     for _, pe in prime_powers:
         # beta is a root mod a, so by CRT these are all the roots mod pe
         local = sorted({bt % pe for bt in roots})
@@ -228,7 +237,7 @@ def subprogression_conditions(w: SubprogressionWitness) -> dict[str, bool]:
     """Evaluate the four defining conditions of a witness."""
     divides = w.a % w.a_tilde == 0 and (w.b - w.b_tilde) % w.a_tilde == 0
     square = (w.b + w.beta * w.beta) % w.a == 0
-    proper = all(gcd(p**e, 2 * w.beta) != p**e for p, e in factorize(w.a).factors)
+    proper = all(gcd(p**e, 2 * w.beta) != p**e for p, e in factorize(w.a))
     large = (
         w.a % w.p_big == 0
         and is_prime(w.p_big)
@@ -262,7 +271,7 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
             "beta == 0 (mod a_tilde): gcd(p, 2*beta) = p is never a proper divisor"
         )
     a_prime = 1
-    for q, e in factorize(a_tilde).factors:
+    for q, e in factorize(a_tilde):
         a_prime *= q ** max(e, ord_p(2 * beta, q) + 1)
     lower = max(a_prime, 2 * beta)
     p = lower
@@ -323,10 +332,8 @@ def exact_projection_coefficient(
     q-series composition u_operator(eisenstein_hol(a*n + 1), a, b) * (thetas),
     as test_exact_projection_matches_qseries_composition checks.
     """
-    if a < 1 or n < 0:
-        raise ValueError("need a >= 1 and n >= 0")
-    if (beta * beta + b) % a:
-        raise ValueError(f"beta^2 must be == -b (mod {a})")
+    _check_a_n(a, n, 0)
+    _check_root(a, b, beta)
     an = a * n
     table.check_covers(an)
     r = isqrt(an)

@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import factorize, is_fundamental, kronecker, sigma1
+from .arith import check_fundamental, factorize, kronecker, sigma1
 
 __all__ = [
     "HurwitzValue",
@@ -89,8 +89,7 @@ def hurwitz(D: int) -> HurwitzValue:
 
 def class_number(D: int) -> int:
     """h(-D) for a fundamental discriminant -D; equals H(D) for D > 4."""
-    if not is_fundamental(D):
-        raise ValueError(f"-{D} is not a fundamental discriminant")
+    check_fundamental(D)
     if D in (3, 4):
         return 1
     twelve = hurwitz(D).twelve_h
@@ -103,12 +102,11 @@ def hurwitz_via_formula(D: int, f: int) -> HurwitzValue:
     """H(D*f^2) via the multiplicative class number formula
     H(D f^2) = H(D) * prod_{p | f} (sigma1(f_p) - (-D|p) * sigma1(f_p / p)).
     """
-    if not is_fundamental(D):
-        raise ValueError(f"-{D} is not a fundamental discriminant")
+    check_fundamental(D)
     if f < 1:
         raise ValueError("f must be a positive integer")
     twelve = hurwitz(D).twelve_h
-    for p, e in factorize(f).factors:
+    for p, e in factorize(f):
         fp = p**e
         twelve *= sigma1(fp) - kronecker(-D, p) * sigma1(fp // p)
     return HurwitzValue(twelve)

@@ -5,10 +5,10 @@ coefficients for exponents below its precision bound, and stores only the
 nonzero ones.  Series are immutable values: every operation returns a new
 instance.
 
-This is the exact series composition (sieved Eisenstein series times theta
-series) that holproj.exact_projection_coefficient replaces with a direct sum
-over the table; its test checks the two against each other, and the
-benchmark's tracer spans these functions by name.
+No module of the package calls this one.  It is the exact composition
+(sieved Eisenstein series times theta series) that
+holproj.exact_projection_coefficient replaces with a direct sum over the table;
+that function's test builds its reference here, and the benchmark traces it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import sqrt_mod
 from .hurwitz import HurwitzTable
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "theta_series",
     "eisenstein_hol",
     "u_operator",
-    "u_theta_decomposition",
 ]
 
 
@@ -164,14 +162,3 @@ def u_operator(series: QSeries, a: int, b: int) -> QSeries:
     coeffs = {i: c for i, c in series.coeffs.items() if i % (a * m) == keep}
     return QSeries(m * a, series.precision / a, coeffs)
 
-
-def u_theta_decomposition(a: int, b: int, precision) -> QSeries:
-    """Sum of theta_series(a, beta) over the square roots beta of b mod a.
-
-    Coefficientwise equal to u_operator(theta_series(1, 0), a, b).
-    """
-    bound = Fraction(precision)
-    out = QSeries(a, bound, {})
-    for beta in sqrt_mod(b, a):
-        out = out + theta_series(a, beta, bound)
-    return out

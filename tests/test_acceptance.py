@@ -235,7 +235,7 @@ def test_08_distinguished_coefficient_values(generic_witnesses):
         for n in (n1, n2):
             dec = q_subset_decomposition(w.a, w.b, w.beta, n)
             support = {q for q, v in dec.contributions.items() if v}
-            full = frozenset(q for q, _ in factorize(w.a).factors)
+            full = frozenset(q for q, _ in factorize(w.a))
             if support != {frozenset(), full}:
                 support_failures.append((w, n, support))
     elapsed = time.monotonic() - t0

@@ -6,11 +6,10 @@ import pytest
 import oracles
 from hcl import arith
 from hcl.arith import (
-    Factorization,
     check_ell,
+    check_fundamental,
     divisors,
     factorize,
-    fundamental_decomposition,
     is_fundamental,
     is_prime,
     kronecker,
@@ -19,7 +18,6 @@ from hcl.arith import (
     sigma1,
     sqrt_mod,
     squarefree_part,
-    unit_count,
 )
 
 
@@ -29,9 +27,9 @@ from hcl.arith import (
 
 
 def test_factorize_basics():
-    assert factorize(1) == Factorization(1, ())
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(847).factors == ((7, 1), (11, 2))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(847) == ((7, 1), (11, 2))
 
 
 def test_factorize_rejects_zero():
@@ -43,7 +41,7 @@ def test_factorize_matches_brute():
     rng = random.Random(1)
     for _ in range(300):
         n = rng.randrange(1, 10**6)
-        assert list(factorize(n).factors) == oracles.factor_brute(n), n
+        assert list(factorize(n)) == oracles.factor_brute(n), n
 
 
 def test_primes_up_to_matches_trial_division():
@@ -62,8 +60,8 @@ def test_spf_table_holds_smallest_prime_factors():
 
 def test_factorize_large_cofactors():
     p, q = 999_983, 1_000_003  # q survives the sieve, stays below 10^12
-    assert factorize(p * q).factors == ((p, 1), (q, 1))
-    assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
     with pytest.raises(ValueError):
         factorize(1_000_003 * 1_000_033)  # composite cofactor beyond the sieve
 
@@ -200,6 +198,19 @@ def test_sqrt_mod_large_prime_power_paths():
         assert empties > 0
 
 
+def test_sqrt_mod_lifting_matches_the_table():
+    # sqrt_mod reads every prime power below _BRUTE_SQRT_LIMIT from a table,
+    # so the sweeps above never reach the lifting path on those moduli
+    assert 2000 <= arith._BRUTE_SQRT_LIMIT
+    for p in arith.primes_up_to(2000):
+        e = 1
+        while p**e < 2000:
+            for x in range(p**e):
+                lifted = arith._sqrt_mod_prime_power_lifted(x, p, e)
+                assert lifted == arith._sqrt_mod_prime_power(x, p, e), (x, p, e)
+            e += 1
+
+
 def test_sqrt_mod_large_composite():
     mod = 3**9 * 10007
     z = 123456789 % mod
@@ -209,33 +220,8 @@ def test_sqrt_mod_large_composite():
 
 
 # ---------------------------
-# fundamental decompositions
+# squarefree parts and fundamental discriminants
 # ---------------------------
-
-
-def test_fundamental_decomposition_examples():
-    d = fundamental_decomposition(4)
-    assert (d.D, d.f) == (4, 1)
-    d = fundamental_decomposition(12)
-    assert (d.D, d.f) == (3, 2)
-    d = fundamental_decomposition(275)
-    assert (d.D, d.f) == (11, 5)
-
-
-def test_fundamental_decomposition_rejects_non_discriminants():
-    for n in (1, 2, 5, 6, 9, 10):
-        if n % 4 in (1, 2):
-            with pytest.raises(ValueError):
-                fundamental_decomposition(n)
-
-
-def test_fundamental_decomposition_roundtrip_sweep():
-    for n in range(3, 10**5 + 1):
-        if n % 4 in (1, 2):
-            continue
-        d = fundamental_decomposition(n)
-        assert d.D * d.f * d.f == n
-        assert is_fundamental(d.D), n
 
 
 def test_squarefree_part():
@@ -244,12 +230,24 @@ def test_squarefree_part():
     assert squarefree_part(275) == (11, 5)
 
 
-def test_unit_count():
-    assert unit_count(3) == 6
-    assert unit_count(4) == 4
-    assert unit_count(275) == 2
-    with pytest.raises(ValueError):
-        unit_count(5)
+def test_check_fundamental_is_the_one_fundamental_discriminant_rule():
+    from hcl.dichotomy import hecke_condition
+    from hcl.hurwitz import class_number, hurwitz_via_formula
+
+    for D in (3, 4, 7, 8, 11, 15, 20, 23, 24, 163):
+        assert is_fundamental(D)
+        check_fundamental(D)
+    for D in (-3, 0, 1, 2, 5, 12, 16, 27, 28, 75):
+        assert not is_fundamental(D)
+        message = f"^-{D} is not a fundamental discriminant$"
+        for call in (
+            lambda: check_fundamental(D),
+            lambda: class_number(D),
+            lambda: hurwitz_via_formula(D, 1),
+            lambda: hecke_condition(D, 1, 2, 5),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # ---------------------------

@@ -64,6 +64,16 @@ def test_verify_rejects_small_or_composite_modulus(table_1m):
             verify_congruence(ell, 125, 25, 10**4, table_1m)
 
 
+def test_verify_and_progression_share_one_rule():
+    table = build_table(10)
+    for a, b in [(0, 0), (-1, 0), (3, 3), (3, -1)]:
+        message = f"need a >= 1 and 0 <= b < a, got ({a}, {b})"
+        for call in (lambda: ArithmeticProgression(a, b), lambda: verify_congruence(5, a, b, 10, table)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message, (a, b)
+
+
 def test_subprogression_closure(table_1m):
     # a congruence restricts to every arithmetic subprogression
     for ell, a, b in [(5, 125, 25), (11, 512, 192)]:

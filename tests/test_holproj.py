@@ -301,7 +301,7 @@ def test_subset_support_at_distinguished_indices(generic_witnesses):
         for n in (primes.a_prime * primes.p, primes.a_prime * primes.p * primes.p_prime):
             dec = q_subset_decomposition(w.a, w.b, w.beta, n)
             support = {q for q, v in dec.contributions.items() if v}
-            all_primes = frozenset(p for p, _ in factorize(w.a).factors)
+            all_primes = frozenset(p for p, _ in factorize(w.a))
             assert support == {frozenset(), all_primes}, (w, n, support)
 
 
@@ -501,6 +501,17 @@ def test_argument_errors_win_over_a_cached_undefined_verdict():
         ((9, 0, 1, 2), "beta^2 must be == -b (mod 9)"),
     ]:
         assert _outcome(q_subset_decomposition, *args) == ("ValueError", message), args
+
+
+def test_closed_forms_share_each_argument_rule():
+    table = build_table(100)
+    for a, n in [(0, 1), (-3, 1), (1, -1)]:
+        for fn, args in [(proj_theta_product, (a, 0, 0, n)),
+                         (exact_projection_coefficient, (a, 0, 0, n, table))]:
+            assert _outcome(fn, *args) == ("ValueError", "need a >= 1 and n >= 0"), (fn, a, n)
+    for fn, args in [(nonhol_coefficient, (9, 0, 1, 2)), (q_subset_decomposition, (9, 0, 1, 2)),
+                     (exact_projection_coefficient, (9, 0, 1, 2, table))]:
+        assert _outcome(fn, *args) == ("ValueError", "beta^2 must be == -b (mod 9)"), fn
 
 
 def test_subset_labels_are_solved_once_per_a_b_beta(monkeypatch):

@@ -1,6 +1,7 @@
 """The package entry point re-exports nothing: every public name has one home,
-`hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  Every
-memo cache in the package is bounded."""
+`hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  A
+module's `__all__` lists exactly what it defines in public.  Every memo cache in
+the package is bounded."""
 
 import importlib
 import os
@@ -42,3 +43,23 @@ def test_every_cache_is_bounded():
     assert {"hcl.arith.divisors", "hcl.holproj._subset_labels"} <= found.keys()
     for name, maxsize in found.items():
         assert type(maxsize) is int, (name, maxsize)
+
+
+def test_every_all_lists_the_public_definitions_and_nothing_stale():
+    checked = 0
+    for name in SUBMODULES:
+        module = importlib.import_module(f"hcl.{name}")
+        if not hasattr(module, "__all__"):
+            continue
+        checked += 1
+        for export in module.__all__:
+            assert hasattr(module, export), (name, export)
+        defined = {
+            attr
+            for attr, value in vars(module).items()
+            if not attr.startswith("_")
+            and callable(value)
+            and getattr(value, "__module__", None) == module.__name__
+        }
+        assert defined <= set(module.__all__), (name, sorted(defined - set(module.__all__)))
+    assert checked >= 5

@@ -9,7 +9,6 @@ from hcl.qseries import (
     eisenstein_hol,
     theta_series,
     u_operator,
-    u_theta_decomposition,
 )
 
 
@@ -58,28 +57,6 @@ def test_u_operator_on_theta():
 def test_u_operator_depends_on_b_mod_a():
     th = theta_series(1, 0, 80)
     assert u_operator(th, 12, 5).agrees_with(u_operator(th, 12, 5 + 12 * 7))
-
-
-def test_u_theta_decomposition_examples():
-    assert u_theta_decomposition(4, 3, 20).is_zero()
-    lhs = u_theta_decomposition(8, 1, 20)
-    rhs = sum(
-        (theta_series(8, beta, 20) for beta in (3, 5, 7)),
-        theta_series(8, 1, 20),
-    )
-    assert lhs.agrees_with(rhs)
-    lhs = u_theta_decomposition(5, 4, 20)
-    rhs = theta_series(5, 2, 20) + theta_series(5, 3, 20)
-    assert lhs.agrees_with(rhs)
-
-
-def test_u_theta_decomposition_matches_sieved_theta():
-    for a in range(1, 61):
-        th = theta_series(1, 0, 50 * a)
-        for b in range(a):
-            lhs = u_theta_decomposition(a, b, 50)
-            rhs = u_operator(th, a, b)
-            assert lhs.agrees_with(rhs), (a, b)
 
 
 def test_multiply_identity_and_commutativity():
