@@ -192,7 +192,9 @@ def sigma1(n: int) -> int:
 
 
 def ord_p(n: int, p: int) -> int:
-    """Exponent of p in n (n != 0)."""
+    """Exponent of p in n (n != 0, p >= 2)."""
+    if p < 2:
+        raise ValueError(f"ord_p expects p >= 2, got {p}")
     if n == 0:
         raise ValueError("ord_p(0, p) is undefined")
     n = abs(n)

@@ -264,8 +264,7 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
     if a_tilde < 1:
         raise ValueError("a_tilde must be >= 1")
     beta %= a_tilde
-    if (b_tilde + beta * beta) % a_tilde:
-        raise ValueError(f"-b_tilde must be == beta^2 (mod {a_tilde})")
+    _check_root(a_tilde, b_tilde, beta)
     if beta == 0:
         raise ValueError(
             "beta == 0 (mod a_tilde): gcd(p, 2*beta) = p is never a proper divisor"

@@ -1,6 +1,9 @@
 """Hurwitz class numbers: per-value enumeration, the multiplicative formula,
-and a dense int32 table built by one windowed sweep over reduced quadratic
-forms.
+and a dense int32 table built by a windowed sweep over reduced quadratic
+forms.  Every discriminant 4ac - b^2 is 0 or 3 (mod 4), so the sweep runs
+over n and fills only the two live lanes D = 4n and D = 4n + 3; the points
+below where each a's progressions turn periodic are added window by window
+too.
 
 All values are carried as the integer 12*H(D) so that every computation stays
 in exact integer arithmetic; congruence checks modulo primes ell > 3 are then
@@ -131,26 +134,30 @@ class HurwitzTable:
 
 
 # The largest n_max build_table accepts.  There the table takes 0.8 GB, the
-# build peaks at about 0.93 GiB and 5 minutes on a 2-vCPU Xeon, and
+# build peaks at about 0.91 GiB and 80 s on a 2-vCPU Xeon, and
 # 12*H(D) <= 384,744, far below 2^31.
 MAX_N_MAX = 2 * 10**8
-_WINDOW = 1 << 18  # D per window of the periodic sweep: 1 MiB of int32 stays in L2
+_WINDOW = 1 << 17  # n per window: the lanes D = 4n, 4n + 3 are 1 MiB of int32 and stay in L2
 
 
 def build_table(n_max: int) -> HurwitzTable:
-    """Table of 12*H(D) for all D <= n_max in one sweep over form triples.
+    """Table of 12*H(D) for all D <= n_max by a windowed sweep over form triples.
 
     For each (a, b) with 0 <= b <= a the discriminants 4ac - b^2, c >= a,
-    form an arithmetic progression with step 4a.  All progressions of a given
-    a have started below 4a(a + 1); the terms below that are added point by
-    point, and from there on they add up to one periodic weight row of length
-    4a.  The rows of a, 2a, 4a, ... sum to one row of the largest of them,
-    so each odd m contributes one row per stretch between the starts of its
-    multiples m * 2^j.  Those rows are added window by window: every row
-    touching a window of _WINDOW D is added before the next window is read,
-    with the rows held in batches of about an eighth of the table's entries,
-    one sweep per batch.  The table is int32 from the start, so the build
-    holds about 4.7 bytes per D.
+    form an arithmetic progression with step 4a, and every term is 0 or 3
+    (mod 4).  So the sweep runs over n and adds only to the two live lanes
+    D = 4n and D = 4n + 3, held as interleaved pairs in a buffer of _WINDOW
+    n: D lands at lane entry D // 2, and each window's buffer is added into
+    the table before the next window is read.  The terms with c = a go into
+    the table directly.  The terms with c > a below 4a(a + 1), the head of
+    a, go in by their own sweep: in each window, the b whose head started
+    below it add as one partial row, the rest point by point.  From 4a(a + 1)
+    on, the progressions of a add up to one periodic weight row of 2a lane
+    entries.  The rows of a, 2a, 4a, ... sum to one row of the largest of
+    them, so each odd m contributes one row per stretch between the starts
+    of its multiples m * 2^j.  The rows are held in batches of about an
+    eighth of the table's bytes, one sweep per batch.  The table is int32
+    from the start, so the build holds about 4.6 bytes per D.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -159,71 +166,98 @@ def build_table(n_max: int) -> HurwitzTable:
     values = np.zeros(n_max + 1, dtype=np.int32)
     values[0] = -1
     for a in range(1, isqrt(n_max // 3) + 1):
-        _add_head(values, a)
+        lowest = 4 * a * a - n_max  # b^2 >= lowest keeps D at c = a in the table
+        b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
+        values[4 * a * a - b * b] += np.where(b == a, 4, np.where(b == 0, 6, 12))  # distinct D
     a_body = (isqrt(n_max + 1) - 1) // 2  # the largest a with 4a(a + 1) <= n_max
     budget = max(values.size // 8, _WINDOW)  # row entries held at once
+    _sweep(values, [], heads=True)
     rows, entries = [], 0
     for m in range(1, a_body + 1, 2):
         a, row = m, _period(m)
         while True:
             doubled = np.tile(row, 2)  # any phase of the row is one slice of this
-            rows.append((4 * a * (a + 1), min(8 * a * (2 * a + 1), values.size), doubled))
+            rows.append((a * (a + 1), 2 * a * (2 * a + 1), doubled))
             entries += doubled.size
             a *= 2
             if a > a_body:
                 break
-            row = doubled + _period(a)  # the row so far, repeated to length 4a
+            row = doubled + _period(a)  # the row so far, repeated to 2a lane entries
         if entries >= budget or m + 2 > a_body:
-            _add_rows(values, rows)
+            _sweep(values, rows, heads=False)
             rows, entries = [], 0
     return HurwitzTable(n_max, values)
 
 
-def _add_head(values: np.ndarray, a: int) -> None:
-    """Add the forms (a, b, c), 0 <= b <= a <= c, with D = 4ac - b^2 below
-    4a(a + 1) and D < values.size, point by point."""
-    step = 4 * a
-    end = min((a + 1) * step, values.size)
-    lowest = step * a - (values.size - 1)  # b^2 >= lowest keeps D at c = a in the table
-    b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
-    first = step * a - b * b  # D at c = a, distinct for distinct b
-    values[first] += np.where(b == a, 4, np.where(b == 0, 6, 12))
-    count = (end - 1 - first) // step  # terms with c > a below end
-    at = np.arange(step, step * (int(count.sum()) + 1), step)
-    at += np.repeat(first - step * (np.cumsum(count) - count), count)
-    np.add.at(values, at, np.int32(24))  # D repeats across b
-    values[3 * a * a + step : end : step] -= 12  # b = a weighs 12; b = 0 has no terms here
-
-
-def _period(a: int) -> np.ndarray:
-    """The weight row of a: entry r sums the weights of the progressions
-    4ac - b^2, c > a, at D == r (mod 4a)."""
-    step = 4 * a
-    b = np.arange(a + 1)
+def _period(a: int, least: int = 0) -> np.ndarray:
+    """The weight row of a on the lanes: entry D // 2 sums the weights of the
+    progressions 4ac - b^2, c > a, b >= least, at D == -b^2 (mod 4a)."""
+    b = np.arange(least, a + 1)
     weights = np.where((b == 0) | (b == a), 12, 24)
-    return np.bincount(-b * b % step, weights=weights, minlength=step).astype(np.int32)
+    return np.bincount(-b * b % (4 * a) // 2, weights=weights, minlength=2 * a).astype(np.int32)
 
 
-def _add_rows(values: np.ndarray, rows: list) -> None:
-    """Add each doubled periodic row over its stretch [start, stop) of D,
-    one window of _WINDOW D at a time."""
+def _sweep(values: np.ndarray, rows: list, heads: bool) -> None:
+    """Add each doubled lane row over its stretch [start, stop) of n, or the
+    heads when asked, one window of _WINDOW n at a time."""
+    n_end = (values.size + 3) // 4  # the n with 4n <= n_max
     rows.sort(key=lambda r: r[0])
-    for lo in range(rows[0][0] // _WINDOW * _WINDOW, values.size, _WINDOW):
-        hi = lo + _WINDOW
+    buffer = np.empty(2 * min(_WINDOW, n_end), dtype=np.int32)
+    for lo in range(0 if heads else rows[0][0] // _WINDOW * _WINDOW, n_end, _WINDOW):
+        hi = min(lo + _WINDOW, n_end)
+        lanes = buffer[: 2 * (hi - lo)]
+        lanes[:] = 0
         for start, stop, doubled in rows:
             if start >= hi:
                 break
             start, stop = max(start, lo), min(stop, hi)
-            if start >= stop:
-                continue
-            step = doubled.size // 2
-            row = doubled[start % step : start % step + step]
-            window = values[start:stop]
-            whole = window.size - window.size % step
-            body = window[:whole].reshape(-1, step)
-            body += row
-            tail = window[whole:]
-            tail += row[: tail.size]
+            if start < stop:
+                _add_row(lanes[2 * (start - lo) : 2 * (stop - lo)], doubled, 2 * start)
+        if heads:
+            _add_heads(lanes, lo, hi)
+        zero, three = values[4 * lo : 4 * hi : 4], values[4 * lo + 3 : 4 * hi : 4]
+        zero += lanes[0::2]
+        three += lanes[1::2][: three.size]  # D = 4n + 3 may pass n_max in the last pair
+
+
+def _add_row(window: np.ndarray, doubled: np.ndarray, first: int) -> None:
+    """Add a doubled periodic lane row to window, whose entry 0 is lane
+    entry `first` of the table."""
+    step = doubled.size // 2
+    row = doubled[first % step : first % step + step]
+    whole = window.size - window.size % step
+    body = window[:whole].reshape(-1, step)
+    body += row
+    tail = window[whole:]
+    tail += row[: tail.size]
+
+
+def _add_heads(lanes: np.ndarray, lo: int, hi: int) -> None:
+    """Add the head of every a, the forms (a, b, c) with 0 < b <= a < c and
+    D = 4ac - b^2 below 4a(a + 1), to the lanes of the window of n in
+    [lo, hi).  The head of (a, b) runs from c = a + 1, at 4a(a + 1) - b^2, up
+    to 4a(a + 1).  The b whose head started below the window add as one
+    partial row; the b whose head starts inside it add point by point."""
+    a = max(isqrt(lo), 1)
+    while a * (a + 1) <= lo:  # the head of a ends at n = a(a + 1)
+        a += 1
+    while 3 * a * a + 4 * a < 4 * hi:  # the lowest head point of a, at b = a, c = a + 1
+        step, top = 4 * a, 4 * a * (a + 1)
+        started = isqrt(top - 4 * lo - 1) + 1  # the least b with top - b^2 <= 4lo
+        if started <= a:
+            _add_row(lanes[: min(2 * hi, top // 2) - 2 * lo], np.tile(_period(a, started), 2), 2 * lo)
+        b = np.arange(isqrt(top - 4 * hi) + 1 if top > 4 * hi else 1, min(started, a + 1))
+        if b.size:  # the b with 4hi > top - b^2 > 4lo
+            b2 = b * b
+            # points from c = a + 1 to the end of the head or of the window
+            count = np.minimum((b2 - 1) // step + 1, (b2 + 4 * hi - 1) // step - a)
+            at = np.arange(0, 2 * a * int(count.sum()), 2 * a)
+            at += np.repeat((top - b2) // 2 - 2 * lo - 2 * a * (np.cumsum(count) - count), count)
+            np.add.at(lanes, at, np.int32(24))  # D repeats across b
+            if b[-1] == a:  # b = a weighs 12
+                s = (top - a * a) // 2 - 2 * lo
+                lanes[s : s + 2 * a * int(count[-1]) : 2 * a] -= 12
+        a += 1
 
 
 _HEADER = b"D,twelveH"

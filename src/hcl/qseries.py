@@ -113,11 +113,16 @@ class QSeries:
         return True
 
 
+def _check_modulus(a: int) -> None:
+    """The rule that the modulus a of a theta series or U operator is >= 1."""
+    if a < 1:
+        raise ValueError("a must be >= 1")
+
+
 def theta_series(a: int, beta: int, precision) -> QSeries:
     """Theta series on the grid (1/a)Z: coefficient at n^2/a counts integers
     n == beta (mod a) with that square."""
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_modulus(a)
     bound = Fraction(precision)
     coeffs: dict[int, Fraction] = {}
     # n^2 < a * bound
@@ -155,8 +160,7 @@ def u_operator(series: QSeries, a: int, b: int) -> QSeries:
     On the grid (1/M)Z this keeps indices n with n == b*M (mod a*M); the
     output lives on the grid (1/(M*a))Z with the same indices.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_modulus(a)
     m = series.grid
     keep = (b * m) % (a * m)
     coeffs = {i: c for i, c in series.coeffs.items() if i % (a * m) == keep}

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -14,6 +17,7 @@ from hcl.arith import (
     is_prime,
     kronecker,
     next_prime_in_class,
+    ord_p,
     p_part,
     sigma1,
     sqrt_mod,
@@ -112,6 +116,33 @@ def test_p_part():
     assert p_part(48, 2) == 16
     assert p_part(35, 2) == 1
     assert p_part(847, 11) == 121
+
+
+@pytest.mark.parametrize("p", [-2, 0])
+def test_ord_p_is_the_one_rule_for_p_below_two(p):
+    from hcl.dichotomy import hecke_condition
+
+    for call in (lambda: ord_p(12, p), lambda: p_part(12, p), lambda: hecke_condition(3, 4, p, 5)):
+        with pytest.raises(ValueError, match=f"^ord_p expects p >= 2, got {p}$"):
+            call()
+
+
+def test_ord_p_rejects_p_one_instead_of_looping():
+    # ord_p(n, 1) once divided by 1 forever, so the calls run in a child with a timeout
+    code = (
+        "from hcl.arith import ord_p, p_part\n"
+        "from hcl.dichotomy import hecke_condition\n"
+        "for call in (lambda: ord_p(12, 1), lambda: p_part(12, 1), lambda: hecke_condition(3, 4, 1, 5)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arith.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout) == (0, "ord_p expects p >= 2, got 1\n" * 3), run.stderr
 
 
 # ---------------------------

@@ -514,6 +514,11 @@ def test_closed_forms_share_each_argument_rule():
         assert _outcome(fn, *args) == ("ValueError", "beta^2 must be == -b (mod 9)"), fn
 
 
+def test_subprogression_construct_shares_the_root_rule():
+    assert _outcome(subprogression_construct, 5, 1, 1) == ("ValueError", "beta^2 must be == -b (mod 5)")
+    assert _outcome(subprogression_construct, 9, 0, 10) == ("ValueError", "beta^2 must be == -b (mod 9)")
+
+
 def test_subset_labels_are_solved_once_per_a_b_beta(monkeypatch):
     calls = []
 

@@ -59,6 +59,14 @@ def test_u_operator_depends_on_b_mod_a():
     assert u_operator(th, 12, 5).agrees_with(u_operator(th, 12, 5 + 12 * 7))
 
 
+def test_theta_series_and_u_operator_share_the_modulus_rule():
+    th = theta_series(1, 0, 10)
+    for a in (0, -3):
+        for call in (lambda: theta_series(a, 0, 10), lambda: u_operator(th, a, 0)):
+            with pytest.raises(ValueError, match="^a must be >= 1$"):
+                call()
+
+
 def test_multiply_identity_and_commutativity():
     rng = random.Random(21)
     one = QSeries(1, 40, {0: Fraction(1)})
