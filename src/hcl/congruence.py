@@ -132,6 +132,8 @@ def search(
     serial.
     """
     check_ell(ell)
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
     if n_max < 100 * a_max:
         raise ValueError("need n_max >= 100 * a_max for a meaningful search")
     table.check_covers(n_max)
@@ -170,7 +172,10 @@ def square_class_check(
     """Verify the congruence on a*Z + b*u^2 for every u <= u_max coprime to a.
 
     Returns (ok, failures) where failures lists (u, least counterexample).
+    u_max < 1 would check no u and pass vacuously, so it is rejected.
     """
+    if u_max < 1:
+        raise ValueError("u_max must be >= 1")
     failures = []
     for u in range(1, u_max + 1):
         if gcd(u, a) != 1:

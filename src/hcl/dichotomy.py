@@ -306,7 +306,10 @@ def classify(
 
 
 def report_to_json(report: DichotomyReport, max_rows: int | None = 20) -> str:
-    """Stable-key-order JSON; evidence rows are truncated to max_rows unless None."""
+    """Stable-key-order JSON; evidence rows are truncated to max_rows unless None.
+    A negative max_rows is rejected, not read as a slice from the end."""
+    if max_rows is not None and max_rows < 0:
+        raise ValueError("max_rows must be >= 0")
     rows = report.evidence[:max_rows]
     payload = {
         "ell": report.ell,

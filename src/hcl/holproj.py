@@ -17,6 +17,15 @@ cache keeps them across the calls for successive n.
 `exact_projection_coefficient` sums 12H(a*n - k^2) over k == +-beta (mod a)
 straight from the table, which equals the product of the sieved `qseries`
 Eisenstein and theta series (`test_exact_projection_matches_qseries_composition`).
+
+All three forms read one walk over the factorizations a*n = e*f, e < f
+(`_divisor_pairs`), which sums them by residue class mod a: the pair sums of
+the factorization form keyed by beta_tilde, and the theta sums S keyed by
+mt mod a, so that proj_theta_product at beta_tilde is its square term plus
+S[beta_tilde] + S[-beta_tilde].  Callers ask for every form and every root
+at the same (a, beta, a*n), so a bounded cache holds the walk and each
+(a, beta mod a, a*n) is walked once.
+
 All values are exact integers or rationals.
 """
 
@@ -26,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,9 +78,11 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
                + sum (m^2 - mt^2)/(|m| + |mt|)  over mt != 0, m == beta, mt == beta_tilde (mod a),
                                                       m^2 - mt^2 = a*n )
 
-    Solutions (m, mt) are enumerated through factorizations a*n = e*f with
-    e == f (mod 2): m = +-(e+f)/2, mt = +-(f-e)/2, all four sign choices,
-    filtered by the congruences.
+    Solutions (m, mt) come from factorizations a*n = e*f, e < f, e == f
+    (mod 2): m = +-(e+f)/2, mt = +-(f-e)/2, all four sign choices, filtered by
+    the congruences, and each admissible one adds e.  The walk over them is
+    shared (_divisor_pairs): its theta sums S, keyed by mt mod a, give the
+    second sum as S[beta_tilde] + S[-beta_tilde].
     """
     _check_a_n(a, n, 0)
     an = a * n
@@ -83,18 +95,53 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
                     total += r
     # m^2 - mt^2 is never == 2 (mod 4)
     if an > 0 and an % 4 != 2:
-        for e in divisors(an):
-            f = an // e
-            if e >= f:  # e == f gives mt = 0, and the pairs past it repeat
-                break
-            if (e - f) % 2:
-                continue
+        sums = _divisor_pairs(a, beta % a, an)[1]
+        total += sums.get(beta_tilde % a, 0) + sums.get(-beta_tilde % a, 0)
+    return -4 * total
+
+
+@lru_cache(maxsize=16, typed=True)
+def _divisor_pairs(
+    a: int, beta: int, an: int
+) -> tuple[MappingProxyType[int, int], MappingProxyType[int, int]]:
+    """One walk over a*n = e*f with e < f, beta normalised mod a, returning
+    (pair sums, theta sums), read-only as every caller shares them.
+
+    Pair sums: when e + f == 2*beta (mod a), e is added under both keys
+    (e - beta) mod a and (f - beta) mod a, as the ordered pairs (d1, d2) =
+    (e, f) and (f, e) of the factorization form.  Then d2 == beta - beta_tilde,
+    and beta^2 - beta_tilde^2 == d1*d2 == 0 (mod a) makes each key
+    beta_tilde a square root of -b without solving for it.  Roots without a
+    pair are absent.
+
+    Theta sums: when e == f (mod 2), m0 = (e + f)/2 and mt0 = (f - e)/2, and
+    e times the number of signs with +-m0 == beta (mod a) is added under the
+    key mt0 mod a.  proj_theta_product reads the keys +-beta_tilde, which
+    counts the signs of mt.
+
+    A caller asks for every form and every root at one (a, beta, a*n): in the
+    `holproj` benchmark sweep each of the 81,079 tuples is walked once, and
+    the CLI's `holproj --projection` walks once.  16 entries leave room for
+    callers that interleave a few.  typed=True, as in _subset_labels, so an
+    entry walked for a float beta (whose keys are floats) serves no int one.
+    """
+    pair_sums: dict[int, int] = {}
+    theta_sums: dict[int, int] = {}
+    for e in divisors(an):
+        f = an // e
+        if e >= f:  # e == f gives mt = 0 and d1 = d2; the pairs past it repeat
+            break
+        if (e + f - 2 * beta) % a == 0:
+            for bt in ((e - beta) % a, (f - beta) % a):
+                pair_sums[bt] = pair_sums.get(bt, 0) + e
+        if (e - f) % 2 == 0:
             m0, mt0 = (e + f) // 2, (f - e) // 2
             # each admissible sign pair contributes an / (|m| + |mt|) = e
             m_signs = ((m0 - beta) % a == 0) + ((m0 + beta) % a == 0)
-            mt_signs = ((mt0 - beta_tilde) % a == 0) + ((mt0 + beta_tilde) % a == 0)
-            total += e * m_signs * mt_signs
-    return -4 * total
+            if m_signs:
+                key = mt0 % a
+                theta_sums[key] = theta_sums.get(key, 0) + e * m_signs
+    return MappingProxyType(pair_sums), MappingProxyType(theta_sums)
 
 
 def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
@@ -106,20 +153,6 @@ def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
     if r * r == an:
         raise ValueError(f"a*n = {an} is a perfect square")
     return an
-
-
-def _pair_sums_by_root(a: int, beta: int, an: int) -> dict[int, int]:
-    """Sums of min(d1, d2) over a*n = d1*d2 with d1 != d2 and d1 + d2 == 2*beta
-    (mod a), keyed by beta_tilde = d1 - beta mod a.  Then d2 == beta - beta_tilde,
-    and beta^2 - beta_tilde^2 == d1*d2 == 0 (mod a) makes beta_tilde a square root
-    of -b without solving for it.  Roots without a pair are absent."""
-    sums: dict[int, int] = {}
-    for d1 in divisors(an):
-        d2 = an // d1
-        if d1 != d2 and (d1 + d2 - 2 * beta) % a == 0:
-            bt = (d1 - beta) % a
-            sums[bt] = sums.get(bt, 0) + min(d1, d2)
-    return sums
 
 
 def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
@@ -138,11 +171,13 @@ def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
     The two agree on the pinned tuples and at most distinguished indices; see
     test_routes_differ_in_general and acceptance item A7.
 
-    One divisor walk finds each beta_tilde from its pairs, so no square root
-    of -b is solved (see _pair_sums_by_root).
+    The shared divisor walk finds each beta_tilde from its pairs, so no
+    square root of -b is solved: the total is the sum of its pair sums (see
+    _divisor_pairs), read from the same cached walk as proj_theta_product
+    and q_subset_decomposition at this (a, beta, a*n).
     """
     an = _check_factorization_args(a, b, beta, n)
-    total = sum(_pair_sums_by_root(a, beta, an).values())
+    total = sum(_divisor_pairs(a, beta % a, an)[0].values())
     if total % 2:
         raise ArithmeticError("factorization sum must be even")
     return -(total // 2)
@@ -208,13 +243,15 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
 
     The roots, their subset labels and the verdict that the decomposition is
     undefined depend only on (a, b, beta) and are memoized (_subset_labels);
-    each call checks its arguments first and walks the divisors of a*n once.
+    each call checks its arguments first, then reads each subset's sum at its
+    root from the pair sums of the shared divisor walk (_divisor_pairs), the
+    same entry nonhol_coefficient reads.
     """
     an = _check_factorization_args(a, b, beta, n)
     labels = _subset_labels(a, b, beta)
     if isinstance(labels, str):
         raise ValueError(labels)
-    sums = _pair_sums_by_root(a, beta, an)
+    sums = _divisor_pairs(a, beta % a, an)[0]
     contributions = {q: sums.get(bt, 0) for bt, q in labels}
     return QSubsetDecomposition(a, b, beta, n, contributions)
 

@@ -174,6 +174,48 @@ def proj_theta_brute(a: int, beta_tilde: int, beta: int, n: int) -> int:
     return -4 * total
 
 
+def proj_theta_divisor_walk(a: int, beta_tilde: int, beta: int, n: int) -> int:
+    """proj_theta_product as one divisor walk per call, the path the shared
+    walk replaced: every factorization a*n = e*f, e < f, e == f (mod 2), with
+    its sign counts for m and mt checked in place."""
+    an = a * n
+    total = 0
+    if beta_tilde % a == 0 and an > 0:
+        r = isqrt(an)
+        if r * r == an:
+            for m in (r, -r):
+                if (m - beta) % a == 0:
+                    total += r
+    # m^2 - mt^2 is never == 2 (mod 4)
+    if an > 0 and an % 4 != 2:
+        for e in divisors_brute(an):
+            f = an // e
+            if e >= f:  # e == f gives mt = 0, and the pairs past it repeat
+                break
+            if (e - f) % 2:
+                continue
+            m0, mt0 = (e + f) // 2, (f - e) // 2
+            # each admissible sign pair contributes an / (|m| + |mt|) = e
+            m_signs = ((m0 - beta) % a == 0) + ((m0 + beta) % a == 0)
+            mt_signs = ((mt0 - beta_tilde) % a == 0) + ((mt0 + beta_tilde) % a == 0)
+            total += e * m_signs * mt_signs
+    return -4 * total
+
+
+def pair_sums_by_root_walk(a: int, beta: int, an: int) -> dict[int, int]:
+    """Sums of min(d1, d2) over a*n = d1*d2 with d1 != d2 and d1 + d2 == 2*beta
+    (mod a), keyed by beta_tilde = d1 - beta mod a, by one walk over every
+    ordered pair: the path the shared walk replaced.  Roots without a pair
+    are absent."""
+    sums: dict[int, int] = {}
+    for d1 in divisors_brute(an):
+        d2 = an // d1
+        if d1 != d2 and (d1 + d2 - 2 * beta) % a == 0:
+            bt = (d1 - beta) % a
+            sums[bt] = sums.get(bt, 0) + min(d1, d2)
+    return sums
+
+
 def factor_pair_sums_brute(a: int, b: int, beta: int, n: int) -> dict[int, int]:
     """The inner sums of the factorization form, one per square root bt of -b
     mod a (found by scanning 0 <= bt < a), by naive divisor scan of a*n.

@@ -254,6 +254,29 @@ def test_n_max_zero_exit_two_before_any_table_work(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--max-rows", "-1"), "max_rows must be >= 0"),
+    (("dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--max-rows", "-3"), "max_rows must be >= 0"),
+    (("square-class", "--ell", "5", "--a", "27", "--b", "9", "--u-max", "0"), "u_max must be >= 1"),
+    (("square-class", "--ell", "5", "--a", "27", "--b", "9", "--u-max", "-3"), "u_max must be >= 1"),
+    (("search", "--ell", "5", "--a-max", "0"), "a_max must be >= 1"),
+    (("search", "--ell", "5", "--a-max", "-1"), "a_max must be >= 1"),
+])
+def test_empty_or_negative_ranges_exit_two(table_file, capsys, argv, message):
+    # each would otherwise print a verdict over nothing, or drop evidence rows
+    code, out, err = run(capsys, *argv, "--table", table_file, "--n-max", "3000")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_dichotomy_max_rows_zero_prints_no_rows(table_file, capsys):
+    code, out, _ = run(
+        capsys, "dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--max-rows", "0",
+        "--table", table_file, "--n-max", "3000",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["rows"] == [] and payload["rows_total"] > 0
+
+
 def test_verify_refuses_cache_cell_beyond_int32(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     write_table_csv(build_table(4999), path)

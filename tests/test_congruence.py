@@ -219,6 +219,16 @@ def test_square_class_u1_is_base_check(table_1m):
     assert ok
 
 
+def test_empty_ranges_are_rejected(table_small):
+    # no u or no a to check would make a vacuous verdict
+    for u_max in (0, -3):
+        with pytest.raises(ValueError, match=r"^u_max must be >= 1$"):
+            square_class_check(5, 125, 25, u_max, 10**5, table_small)
+    for a_max in (0, -1):
+        with pytest.raises(ValueError, match=r"^a_max must be >= 1$"):
+            search(5, a_max, 10**4, table_small)
+
+
 def test_square_class_depends_on_u_mod_a(table_1m):
     # u and u + a produce the same residue b*u^2 mod a
     a, b = 27, 9

@@ -334,3 +334,13 @@ def test_report_json_stable(table_1m):
     ]
     assert len(payload["rows"]) == 3
     assert payload["case"] == "hecke_condition"
+
+
+def test_report_json_rejects_negative_max_rows(table_1m):
+    report = classify(5, 125, 25, 10**5, table_1m)
+    for max_rows in (-1, -3):
+        with pytest.raises(ValueError, match=r"^max_rows must be >= 0$"):
+            report_to_json(report, max_rows=max_rows)
+    assert json.loads(report_to_json(report, max_rows=0))["rows"] == []
+    full = json.loads(report_to_json(report, max_rows=None))
+    assert len(full["rows"]) == full["rows_total"] == len(report.evidence)

@@ -105,8 +105,63 @@ def test_pair_walk_matches_per_root_sums():
             b = (-beta * beta) % a
             for n in (1, 6, a, 9 * a):
                 want = oracles.factor_pair_sums_brute(a, b, beta, n)
-                got = holproj_module._pair_sums_by_root(a, beta, a * n)
+                got = holproj_module._divisor_pairs(a, beta, a * n)[0]
                 assert got == {bt: v for bt, v in want.items() if v}, (a, beta, n)
+    with pytest.raises(TypeError):  # every caller at this (a, beta, a*n) shares it
+        got[0] = 1
+
+
+def test_shared_walk_matches_the_per_call_walks():
+    # every closed form reads one cached walk per (a, beta mod a, a*n); each
+    # value equals the per-call walk it replaced and the brute-force scan, at
+    # every root and at unnormalised spellings of beta.  n = 0 leaves only
+    # the sign enumeration, and n = 6, 30 make a*n == 2 (mod 4) at odd a
+    for a in range(1, 40):
+        prime_powers = [(p, p**e) for p, e in oracles.factor_brute(a)]
+        for n in (0, 1, 2, 6, 7, 30, 167):
+            an = a * n
+            square = isqrt(an) ** 2 == an
+            theta_brute, pair_brute = {}, {}
+            for beta in range(a):
+                b = -beta * beta % a
+                roots = oracles.sqrt_mod_brute(-b, a)
+                for bt in roots:
+                    theta_brute[bt, beta] = oracles.proj_theta_brute(a, bt, beta, n)
+                if not square:
+                    pair_brute[beta] = oracles.factor_pair_sums_brute(a, b, beta, n)
+            for beta in range(a):
+                b = -beta * beta % a
+                roots = oracles.sqrt_mod_brute(-b, a)
+                for s in (beta, beta + a, -beta):
+                    where = (a, b, s, n)
+                    for bt in roots:
+                        got = proj_theta_product(a, bt, s, n)
+                        assert got == oracles.proj_theta_divisor_walk(a, bt, s, n), (where, bt)
+                        assert got == theta_brute[bt, s % a], (where, bt)
+                    if square:
+                        for fn in (nonhol_coefficient, q_subset_decomposition):
+                            with pytest.raises(ValueError):
+                                fn(a, b, s, n)
+                        continue
+                    walk = oracles.pair_sums_by_root_walk(a, s, an)
+                    brute = pair_brute[s % a]
+                    assert walk == {bt: v for bt, v in brute.items() if v}, where
+                    value = nonhol_coefficient(a, b, s, n)
+                    assert value == -(sum(walk.values()) // 2), where
+                    assert value == oracles.nonhol_brute(a, b, s, n), where
+                    labels = {
+                        bt: frozenset(p for p, pe in prime_powers if (bt - s) % pe == 0)
+                        for bt in roots
+                    }
+                    if len(set(labels.values())) < len(roots) or any(
+                        2 * s % pe == 0 for _, pe in prime_powers
+                    ):
+                        with pytest.raises(ValueError, match="subset decomposition undefined"):
+                            q_subset_decomposition(a, b, s, n)
+                        continue
+                    got = q_subset_decomposition(a, b, s, n).contributions
+                    assert got == {labels[bt]: walk.get(bt, 0) for bt in roots}, where
+                    assert got == {labels[bt]: v for bt, v in brute.items()}, where
 
 
 # ---------------------------
@@ -441,25 +496,32 @@ def _outcome(fn, *args):
 def _clear_caches():
     divisors.cache_clear()
     holproj_module._subset_labels.cache_clear()
+    holproj_module._divisor_pairs.cache_clear()
 
 
 def _closed_forms(table, before_each):
     """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n.
-    The subset split also takes unnormalised spellings of (b, beta): its cache
-    is keyed on the raw arguments, and its messages print them verbatim."""
+    Each form also takes unnormalised spellings of (b, beta): the subset
+    split's cache is keyed on the raw arguments, and its messages print them
+    verbatim; the shared divisor walk is keyed on beta mod a, typed."""
     out = []
     for a in range(1, 40):
         for beta in range(a):
             b = -beta * beta % a
-            spellings = [(b, beta), (b, beta + a), (b, -beta), (b - a, beta), (float(b), beta)]
+            spellings = [(b, beta), (b, beta + a), (b, -beta), (b - a, beta), (float(b), beta),
+                         (b, float(beta))]
             for n in (1, 2, 7, 30, 167):
                 for fn, args in [
-                    (nonhol_coefficient, (a, b, beta, n)),
+                    *[(nonhol_coefficient, (a, sb, sbeta, n)) for sb, sbeta in spellings],
                     *[
                         (lambda *t: q_subset_decomposition(*t).contributions, (a, sb, sbeta, n))
                         for sb, sbeta in spellings
                     ],
-                    *[(proj_theta_product, (a, bt, beta, n)) for bt in sqrt_mod(-b, a)],
+                    *[
+                        (proj_theta_product, (a, bt, sbeta, n))
+                        for bt in sqrt_mod(-b, a)
+                        for sbeta in (beta, beta + a, -beta, float(beta))
+                    ],
                     (exact_projection_coefficient, (a, b, beta, n, table)),
                 ]:
                     before_each()
@@ -472,6 +534,11 @@ def test_divisor_cache_changes_no_closed_form():
     cold = _closed_forms(table, _clear_caches)
     warm = _closed_forms(table, lambda: None)
     assert warm == cold
+    # cold means every cache the closed forms read starts empty
+    caches = {v.__qualname__: v for v in vars(holproj_module).values() if hasattr(v, "cache_info")}
+    assert {"divisors", "_subset_labels", "_divisor_pairs"} <= caches.keys()
+    _clear_caches()
+    assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
 
 
 def test_closed_forms_share_one_divisor_walk_per_an():
@@ -484,6 +551,23 @@ def test_closed_forms_share_one_divisor_walk_per_an():
         for bt in sqrt_mod(-b, a):
             proj_theta_product(a, bt, beta, n)
     assert divisors.cache_info().misses == 1
+
+    # the CLI's `holproj --projection` call pattern: every form, then the
+    # projection over every root, all from one walk
+    table = build_table(a * n)
+    holproj_module._divisor_pairs.cache_clear()
+    nonhol_coefficient(a, 54, 1, n)
+    q_subset_decomposition(a, 54, 1, n)
+    exact_projection_coefficient(a, 54, 1, n, table)
+    assert holproj_module._divisor_pairs.cache_info().misses == 1
+    # and one walk per beta when the residues are swept in turn
+    holproj_module._divisor_pairs.cache_clear()
+    for beta in range(a):
+        b = -beta * beta % a
+        nonhol_coefficient(a, b, beta, n)
+        _outcome(q_subset_decomposition, a, b, beta, n)
+        exact_projection_coefficient(a, b, beta, n, table)
+    assert holproj_module._divisor_pairs.cache_info().misses == a
 
 
 def test_argument_errors_win_over_a_cached_undefined_verdict():

@@ -40,7 +40,11 @@ def test_every_cache_is_bounded():
         for value in vars(importlib.import_module(f"hcl.{name}")).values():
             if hasattr(value, "cache_info"):
                 found[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
-    assert {"hcl.arith.divisors", "hcl.holproj._subset_labels"} <= found.keys()
+    assert {
+        "hcl.arith.divisors",
+        "hcl.holproj._subset_labels",
+        "hcl.holproj._divisor_pairs",
+    } <= found.keys()
     for name, maxsize in found.items():
         assert type(maxsize) is int, (name, maxsize)
 
