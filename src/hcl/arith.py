@@ -1,15 +1,12 @@
 """Elementary exact number-theoretic primitives shared by the other modules.
 
 Everything here is a pure function of its arguments, returning ints, lists or
-tuples.  Three kinds of state only remember results:
-- the prime sieve and the smallest-prime-factor table, built once on first use
-  and never mutated afterwards;
-- `_sqrt_tables`, which gains one table of square roots per new prime power
-  below 10^4 and never changes a table it holds (larger prime powers lift);
+tuples.  Two kinds of state only remember results:
+- the prime sieve up to 10^6, built once on first use and never mutated;
 - the bounded cache on `divisors`, whose entries are immutable tuples.
-A racing thread at worst builds a sieve or a square-root table twice with the
-same content, and `functools.lru_cache` takes its own lock, so the module is
-safe for concurrent use.
+A racing thread at worst builds the sieve twice with the same content, and
+`functools.lru_cache` takes its own lock, so the module is safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -17,14 +14,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
+from operator import index
 
 _SIEVE_LIMIT = 10**6
-_BRUTE_SQRT_LIMIT = 10**4
 
 _sieve_primes: tuple[int, ...] | None = None
-_spf: bytearray | None = None  # smallest-prime-factor indices, see _spf_table()
-_spf_primes: list[int] = []
-_sqrt_tables: dict[int, dict[int, tuple[int, ...]]] = {}
 
 
 def primes_up_to(n: int) -> tuple[int, ...]:
@@ -45,20 +39,7 @@ def sieve_primes() -> tuple[int, ...]:
     return _sieve_primes
 
 
-def _spf_table() -> bytearray:
-    """Smallest-prime-factor table for n < 10^6, stored as indices into _spf_primes."""
-    global _spf
-    if _spf is None:
-        n = _SIEVE_LIMIT
-        primes = primes_up_to(isqrt(n))  # 168 of them: indices fit a byte
-        table = bytearray(n)  # 0 means "n itself is prime (or < 2)"
-        # Largest prime first, so every composite ends up holding its smallest one.
-        for idx in range(len(primes), 0, -1):
-            p = primes[idx - 1]
-            table[p * p :: p] = bytes((idx,)) * len(range(p * p, n, p))
-        _spf_primes[:] = primes
-        _spf = table
-    return _spf
+_TRIAL_PRIMES = primes_up_to(isqrt(_SIEVE_LIMIT))  # the 168 primes below 1000
 
 
 def is_prime(n: int) -> bool:
@@ -120,28 +101,18 @@ def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as (prime, exponent) pairs, primes ascending.
 
-    Accepts 1 <= n <= 2^63 - 1.  A cofactor surviving all sieve primes is
-    prime whenever it is below 10^12; larger composite cofactors are out of
-    the supported range and rejected.
+    Accepts integers 1 <= n <= 2^63 - 1; a non-integer, 6.0 included, raises
+    TypeError at every size.  Trial division runs over the 168 primes below
+    1000 when n < 10^6, and over the sieve up to 10^6 from there on.  A
+    cofactor surviving them is prime whenever it is below 10^12; larger
+    composite cofactors are out of the supported range and rejected.
     """
+    n = index(n)
     if not 1 <= n <= 2**63 - 1:
         raise ValueError(f"factorize expects 1 <= n <= 2^63-1, got {n}")
-    if n == 1:
-        return ()
     factors: list[tuple[int, int]] = []
     m = n
-    if m < _SIEVE_LIMIT:
-        table = _spf_table()
-        while m > 1:
-            idx = table[m]
-            p = _spf_primes[idx - 1] if idx else m
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return tuple(factors)
-    for p in sieve_primes():
+    for p in _TRIAL_PRIMES if n < _SIEVE_LIMIT else sieve_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -155,7 +126,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             factors.append((m, 1))
         else:
             raise ValueError(f"cannot factor {n}: composite cofactor {m} beyond sieve")
-    factors.sort()
     return tuple(factors)
 
 
@@ -188,6 +158,14 @@ def sigma1(n: int) -> int:
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
+
+
+def hecke_factor(fp, chi, p: int):
+    """The local factor sigma1(f_p) - chi * sigma1(f_p / p) at f_p = p^k of
+    the class number formula and the Hecke condition, 1 at f_p = 1, in closed
+    form ((f_p * p - 1) - chi * (f_p - 1)) / (p - 1).  f_p and chi are ints or
+    int64 arrays of equal shape."""
+    return (fp * p - 1) // (p - 1) - chi * ((fp - 1) // (p - 1))
 
 
 def ord_p(n: int, p: int) -> int:
@@ -243,32 +221,22 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 congruent to r1 (mod m1) and r2 (mod m2); moduli coprime."""
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2)
-
-
 def _sqrt_mod_prime(x: int, p: int) -> list[int]:
-    """Roots of z^2 == x (mod p) for prime p, via Tonelli-Shanks."""
-    x %= p
-    if p == 2:
-        return [x]
-    if x == 0:
-        return [0]
-    if kronecker(x, p) != 1:
+    """Roots of z^2 == x (mod p) for an odd prime p not dividing x: Euler's
+    criterion, then Tonelli-Shanks."""
+    half = (p - 1) // 2
+    if pow(x, half, p) != 1:
         return []
     if p % 4 == 3:
         r = pow(x, (p + 1) // 4, p)
-        return sorted({r, p - r})
-    # Tonelli-Shanks
+        return [r, p - r]
     q = p - 1
     s = 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while kronecker(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
     while t != 1:
@@ -279,18 +247,7 @@ def _sqrt_mod_prime(x: int, p: int) -> list[int]:
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
-    return sorted({r, p - r})
-
-
-def _sqrt_mod_odd_prime_power_unit(x: int, p: int, e: int) -> list[int]:
-    """Roots of z^2 == x (mod p^e), p odd prime, p not dividing x; Hensel lifting."""
-    roots = _sqrt_mod_prime(x, p)
-    mod = p
-    for _ in range(e - 1):
-        nxt = mod * p
-        roots = [(r - (r * r - x) * pow(2 * r, -1, nxt)) % nxt for r in roots]
-        mod = nxt
-    return sorted(roots)
+    return [r, p - r]
 
 
 def _sqrt_mod_2_power_unit(x: int, e: int) -> list[int]:
@@ -308,56 +265,52 @@ def _sqrt_mod_2_power_unit(x: int, e: int) -> list[int]:
             r += mod // 2
         mod = nxt
     full = 1 << e
-    return sorted({r % full, (-r) % full, (r + full // 2) % full, (-r + full // 2) % full})
+    return [r % full, (-r) % full, (r + full // 2) % full, (-r + full // 2) % full]
 
 
 def _sqrt_mod_prime_power(x: int, p: int, e: int) -> list[int]:
-    """All roots of z^2 == x (mod p^e), ascending; tabled below _BRUTE_SQRT_LIMIT."""
-    mod = p**e
-    x %= mod
-    if mod >= _BRUTE_SQRT_LIMIT:
-        return _sqrt_mod_prime_power_lifted(x, p, e)
-    table = _sqrt_tables.get(mod)
-    if table is None:
-        table = {}
-        for z in range(mod):
-            table.setdefault(z * z % mod, []).append(z)
-        table = {k: tuple(v) for k, v in table.items()}
-        _sqrt_tables[mod] = table
-    return list(table.get(x, ()))
+    """All roots of z^2 == x (mod p^e), 0 <= x < p^e, in no set order.
 
-
-def _sqrt_mod_prime_power_lifted(x: int, p: int, e: int) -> list[int]:
-    """All roots of z^2 == x (mod p^e), 0 <= x < p^e, ascending: the roots of
-    the unit part u = x / p^k modulo p^(e-k), lifted from p, times p^(k/2)."""
+    With x = p^k * u, p not dividing u, a root exists only for even k: the
+    roots of u modulo p^(e-k), lifted from p by Hensel's lemma (odd p),
+    times p^(k/2), each standing for a whole class mod p^(e-k/2).
+    """
     mod = p**e
     if x == 0:
-        half = p ** ((e + 1) // 2)
-        return list(range(0, mod, half))
-    k = ord_p(x, p)
+        return list(range(0, mod, p ** ((e + 1) // 2)))
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
     if k % 2:
         return []
-    u = x // p**k
-    f = e - k
-    base = _sqrt_mod_2_power_unit(u, f) if p == 2 else _sqrt_mod_odd_prime_power_unit(u, p, f)
-    if not base:
-        return []
-    shift = p ** (k // 2)
-    period = p ** (e - k // 2)
-    out = set()
-    for r in base:
-        first = shift * r
-        out.update(range(first % period, mod, period))
-    return sorted(out)
+    if p == 2:
+        roots = _sqrt_mod_2_power_unit(x, e - k)
+    else:
+        roots, lifted = _sqrt_mod_prime(x % p, p), p
+        for _ in range(e - k - 1):
+            lifted *= p
+            roots = [(r - (r * r - x) * pow(2 * r, -1, lifted)) % lifted for r in roots]
+    if k:
+        shift = p ** (k // 2)
+        roots = [z for r in roots for z in range(shift * r, mod, mod // shift)]
+    return roots
 
 
 def sqrt_mod(x: int, m: int) -> list[int]:
-    """All residues z mod m with z^2 == x (mod m), ascending; empty when none."""
+    """All residues z mod m with z^2 == x (mod m), ascending; empty when none.
+
+    x may be any number of integral value, 4.0 as well as 4; any other x
+    raises TypeError, as does a modulus m that factorize rejects.  Each prime
+    power p^e || m is solved by Hensel lifting from p, and the roots are
+    joined by the CRT.
+    """
     if m < 1:
         raise ValueError("sqrt_mod expects m >= 1")
-    if m == 1:
-        return [0]
-    x %= m
+    z = int(x)
+    if z != x:
+        raise TypeError(f"sqrt_mod expects an integral x, got {x!r}")
+    x = z % m
     roots: list[int] = [0]
     mod = 1
     for p, e in factorize(m):
@@ -365,7 +318,11 @@ def sqrt_mod(x: int, m: int) -> list[int]:
         local = _sqrt_mod_prime_power(x % pe, p, e)
         if not local:
             return []
-        roots = [_crt(r, mod, s, pe) for r in roots for s in local]
+        if mod == 1:
+            roots = local
+        else:
+            inv = pow(mod, -1, pe)  # CRT: z == r (mod mod) and z == s (mod pe)
+            roots = [r + mod * ((s - r) * inv % pe) for r in roots for s in local]
         mod *= pe
     return sorted(roots)
 

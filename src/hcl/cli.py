@@ -21,14 +21,18 @@ import os
 import sys
 
 from . import holproj
+from .arith import check_ell
 from .congruence import (
     certificate_to_json,
+    check_progression,
+    check_search_range,
+    check_u_max,
     ord_bound_report,
     search,
     square_class_check,
     verify_congruence,
 )
-from .dichotomy import DichotomyCase, classify, report_to_json
+from .dichotomy import DichotomyCase, check_max_rows, classify, report_to_json
 from .hurwitz import HurwitzTable, build_table, read_table_csv, write_table_csv
 
 DEFAULT_TABLE = "hurwitz_table.csv"
@@ -73,6 +77,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     path, n_max = _common(args)
+    check_ell(args.ell)
+    check_progression(args.a, args.b)
     table = _load_table(path, n_max)
     ok, counterexample = verify_congruence(args.ell, args.a, args.b, n_max, table)
     payload = {
@@ -99,6 +105,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     path, n_max = _common(args)
+    check_ell(args.ell)
+    check_search_range(args.a_max, n_max)
     table = _load_table(path, n_max)
     certs = search(args.ell, args.a_max, n_max, table)
     if args.format == "json":
@@ -118,6 +126,9 @@ def cmd_search(args) -> int:
 
 def cmd_square_class(args) -> int:
     path, n_max = _common(args)
+    check_ell(args.ell)
+    check_progression(args.a, args.b)
+    check_u_max(args.u_max)
     table = _load_table(path, n_max)
     ok, counterexample = verify_congruence(args.ell, args.a, args.b, n_max, table)
     if not ok:
@@ -147,9 +158,13 @@ def cmd_square_class(args) -> int:
 
 def cmd_dichotomy(args) -> int:
     path, n_max = _common(args)
+    max_rows = None if args.full_evidence else args.max_rows
+    check_ell(args.ell)
+    check_progression(args.a, args.b)
+    check_max_rows(max_rows)
     table = _load_table(path, n_max)
     report = classify(args.ell, args.a, args.b, n_max, table)
-    print(report_to_json(report, max_rows=None if args.full_evidence else args.max_rows))
+    print(report_to_json(report, max_rows=max_rows))
     return 0 if report.case != DichotomyCase.INCONCLUSIVE else 1
 
 

@@ -23,6 +23,9 @@ __all__ = [
     "ArithmeticProgression",
     "CongruenceCertificate",
     "OrdBoundReport",
+    "check_progression",
+    "check_search_range",
+    "check_u_max",
     "verify_congruence",
     "classify_progression",
     "search",
@@ -38,6 +41,28 @@ class HolomorphicClass(Enum):
     NONHOLOMORPHIC = "nonholomorphic"
 
 
+def check_progression(a: int, b: int) -> None:
+    """Raise ValueError unless a >= 1 and b is the canonical residue 0 <= b < a."""
+    if a < 1 or not 0 <= b < a:
+        raise ValueError(f"need a >= 1 and 0 <= b < a, got ({a}, {b})")
+
+
+def check_search_range(a_max: int, n_max: int) -> None:
+    """Raise ValueError unless a_max >= 1, as a_max < 1 would scan nothing,
+    and n_max >= 100 * a_max, so every progression has 100 values checked."""
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
+    if n_max < 100 * a_max:
+        raise ValueError("need n_max >= 100 * a_max for a meaningful search")
+
+
+def check_u_max(u_max: int) -> None:
+    """Raise ValueError unless u_max >= 1, as u_max < 1 would check no u and
+    pass vacuously."""
+    if u_max < 1:
+        raise ValueError("u_max must be >= 1")
+
+
 @dataclass(frozen=True)
 class ArithmeticProgression:
     """The progression a*Z + b with the canonical residue 0 <= b < a."""
@@ -46,8 +71,7 @@ class ArithmeticProgression:
     b: int
 
     def __post_init__(self):
-        if self.a < 1 or not 0 <= self.b < self.a:
-            raise ValueError(f"need a >= 1 and 0 <= b < a, got ({self.a}, {self.b})")
+        check_progression(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -67,7 +91,7 @@ def verify_congruence(
     Returns (True, None) on success, else (False, least failing value a*n+b).
     """
     check_ell(ell)
-    ArithmeticProgression(a, b)  # raises unless a >= 1 and 0 <= b < a
+    check_progression(a, b)
     table.check_covers(n_max)
     vals = table.values[b : n_max + 1 : a]
     bad = np.nonzero(vals % _modulus(ell))[0]
@@ -132,10 +156,7 @@ def search(
     serial.
     """
     check_ell(ell)
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
-    if n_max < 100 * a_max:
-        raise ValueError("need n_max >= 100 * a_max for a meaningful search")
+    check_search_range(a_max, n_max)
     table.check_covers(n_max)
     values = table.values[: n_max + 1]
     modulus = _modulus(ell)
@@ -172,10 +193,8 @@ def square_class_check(
     """Verify the congruence on a*Z + b*u^2 for every u <= u_max coprime to a.
 
     Returns (ok, failures) where failures lists (u, least counterexample).
-    u_max < 1 would check no u and pass vacuously, so it is rejected.
     """
-    if u_max < 1:
-        raise ValueError("u_max must be >= 1")
+    check_u_max(u_max)
     failures = []
     for u in range(1, u_max + 1):
         if gcd(u, a) != 1:

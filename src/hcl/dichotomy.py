@@ -26,6 +26,7 @@ import numpy as np
 from .arith import (
     check_fundamental,
     factorize,
+    hecke_factor,
     kronecker,
     p_part,
     primes_up_to,
@@ -41,6 +42,7 @@ __all__ = [
     "HeckeWitness",
     "DichotomyReport",
     "check_assumptions",
+    "check_max_rows",
     "enumerate_representations",
     "hecke_condition",
     "classify",
@@ -115,15 +117,7 @@ def hecke_condition(D: int, f: int, p: int, ell: int) -> int:
     of f.  For p not dividing f the local factor is empty and the neutral
     residue 1 is returned, so such primes never witness the condition."""
     check_fundamental(D)
-    fp = p_part(f, p)
-    return _hecke_residue(fp, kronecker(-D, p), p, ell)
-
-
-def _hecke_residue(fp, kr, p: int, ell: int):
-    """hecke_condition's residue from f_p = p^e and kr = (-D|p), with
-    sigma1(p^e) = (p^(e+1) - 1) / (p - 1) in closed form; it is 1 at f_p = 1.
-    fp and kr are ints or int64 arrays of equal shape."""
-    return ((fp * p - 1) // (p - 1) - kr * ((fp - 1) // (p - 1))) % ell
+    return hecke_factor(p_part(f, p), kronecker(-D, p), p) % ell
 
 
 def check_assumptions(a: int, b: int) -> AssumptionReport:
@@ -222,22 +216,18 @@ def enumerate_representations(
         while at.size:
             fp[at] *= p
             at = at[f[at] % (fp[at] * p) == 0]
-        if p == 2:
-            kr = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)[-D % 8]
-        elif p <= len(D):
-            legendre = np.full(p, -1, dtype=np.int64)
-            legendre[0] = 0
-            squares = np.arange(1, p, dtype=np.int64)
-            legendre[squares * squares % p] = 1
-            kr = legendre[-D % p]
-        else:  # a table of p entries would outgrow the rows
+        # (-D|p) depends on -D mod 8 at p = 2 and on -D mod p at odd p
+        period = 8 if p == 2 else p
+        if period <= len(D):
+            kr = np.array([kronecker(r, p) for r in range(period)], dtype=np.int64)[-D % period]
+        else:  # a table of one entry per residue would outgrow the rows
             kr = np.array([kronecker(-d, p) for d in D.tolist()], dtype=np.int64)
         residue = None
         if ell:
             # f_p > 1 forces p^2 <= f_p * p <= f^2 <= n_max, so no product overflows
             residue = np.full_like(f, 1 % ell)
             at = np.flatnonzero(fp > 1)
-            residue[at] = _hecke_residue(fp[at], kr[at], p, ell)
+            residue[at] = hecke_factor(fp[at], kr[at], p) % ell
         local[p] = (fp, kr, residue)
     return _Representations(n, D, f, local)
 
@@ -305,11 +295,16 @@ def classify(
     )
 
 
-def report_to_json(report: DichotomyReport, max_rows: int | None = 20) -> str:
-    """Stable-key-order JSON; evidence rows are truncated to max_rows unless None.
-    A negative max_rows is rejected, not read as a slice from the end."""
+def check_max_rows(max_rows: int | None) -> None:
+    """Raise ValueError for a negative max_rows, which a slice would read from
+    the end; None stands for every row."""
     if max_rows is not None and max_rows < 0:
         raise ValueError("max_rows must be >= 0")
+
+
+def report_to_json(report: DichotomyReport, max_rows: int | None = 20) -> str:
+    """Stable-key-order JSON; evidence rows are truncated to max_rows unless None."""
+    check_max_rows(max_rows)
     rows = report.evidence[:max_rows]
     payload = {
         "ell": report.ell,

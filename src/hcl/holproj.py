@@ -293,10 +293,13 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
     """Build a witness from (a_tilde, b_tilde, beta) with -b_tilde == beta^2 (mod a_tilde).
 
     Sets a' = prod over primes q | a_tilde of q^max(ord_q(a_tilde), ord_q(2*beta)+1),
-    then multiplies by the first prime p > max(a', 2*beta) for which all four
-    conditions verify, and takes b = -beta^2 mod a.  beta is normalized to its
-    least nonnegative residue mod a_tilde first; beta == 0 (mod a_tilde) admits
-    no witness (the gcd condition fails at p) and is rejected.
+    multiplies it by the first prime p > max(a', 2*beta), and takes
+    b = -beta^2 mod a.  The four conditions hold at that p: p > a' gives
+    a < p^2, p > 2*beta keeps p out of 2*beta, and every q | a_tilde divides a'
+    more often than 2*beta.  They are still checked, and a failure is raised
+    as a bug.  beta is normalized to its least nonnegative residue mod
+    a_tilde first; beta == 0 (mod a_tilde) admits no witness (the gcd
+    condition fails at p) and is rejected.
     """
     if a_tilde < 1:
         raise ValueError("a_tilde must be >= 1")
@@ -309,16 +312,16 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
     a_prime = 1
     for q, e in factorize(a_tilde):
         a_prime *= q ** max(e, ord_p(2 * beta, q) + 1)
-    lower = max(a_prime, 2 * beta)
-    p = lower
-    for _ in range(64):
-        p = next_prime_in_class(p, 0, 1, cap=PRIME_SEARCH_CAP)
-        a = a_prime * p
-        b = (-beta * beta) % a
-        w = SubprogressionWitness(a_tilde, b_tilde, beta, a, b, p)
-        if all(subprogression_conditions(w).values()):
-            return w
-    raise ValueError(f"no admissible prime found for ({a_tilde}, {b_tilde}, {beta})")
+    p = next_prime_in_class(max(a_prime, 2 * beta), 0, 1, cap=PRIME_SEARCH_CAP)
+    a = a_prime * p
+    w = SubprogressionWitness(a_tilde, b_tilde, beta, a, (-beta * beta) % a, p)
+    failed = [k for k, v in subprogression_conditions(w).items() if not v]
+    if failed:
+        raise ArithmeticError(
+            f"witness ({a}, {w.b}, {p}) for ({a_tilde}, {b_tilde}, {beta}) fails "
+            f"conditions {failed}; this indicates a bug"
+        )
+    return w
 
 
 @dataclass(frozen=True)

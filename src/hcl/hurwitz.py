@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import check_fundamental, factorize, kronecker, sigma1
+from .arith import check_fundamental, factorize, hecke_factor, kronecker
 
 __all__ = [
     "HurwitzValue",
@@ -110,8 +110,7 @@ def hurwitz_via_formula(D: int, f: int) -> HurwitzValue:
         raise ValueError("f must be a positive integer")
     twelve = hurwitz(D).twelve_h
     for p, e in factorize(f):
-        fp = p**e
-        twelve *= sigma1(fp) - kronecker(-D, p) * sigma1(fp // p)
+        twelve *= hecke_factor(p**e, kronecker(-D, p), p)
     return HurwitzValue(twelve)
 
 

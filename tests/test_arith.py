@@ -4,6 +4,7 @@ import subprocess
 import sys
 from math import gcd
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,6 +14,7 @@ from hcl.arith import (
     check_fundamental,
     divisors,
     factorize,
+    hecke_factor,
     is_fundamental,
     is_prime,
     kronecker,
@@ -43,23 +45,16 @@ def test_factorize_rejects_zero():
 
 def test_factorize_matches_brute():
     rng = random.Random(1)
-    for _ in range(300):
-        n = rng.randrange(1, 10**6)
+    ns = [rng.randrange(1, 10**6) for _ in range(300)]
+    rng = random.Random(3)
+    ns += list(range(2, 3000)) + [rng.randrange(3000, 10**6) for _ in range(1000)] + [10**6 - 1]
+    for n in ns:
         assert list(factorize(n)) == oracles.factor_brute(n), n
 
 
 def test_primes_up_to_matches_trial_division():
     for n in range(0, 300):
         assert arith.primes_up_to(n) == tuple(p for p in range(2, n + 1) if oracles.factor_brute(p) == [(p, 1)]), n
-
-
-def test_spf_table_holds_smallest_prime_factors():
-    table, primes = arith._spf_table(), arith._spf_primes
-    rng = random.Random(3)
-    ns = list(range(2, 3000)) + [rng.randrange(3000, 10**6) for _ in range(1000)] + [10**6 - 1]
-    for n in ns:
-        spf = primes[table[n] - 1] if table[n] else n
-        assert spf == oracles.factor_brute(n)[0][0], n
 
 
 def test_factorize_large_cofactors():
@@ -98,6 +93,16 @@ def test_sigma1_values():
 def test_sigma1_matches_brute():
     for n in range(1, 500):
         assert sigma1(n) == oracles.sigma_brute(n)
+
+
+def test_hecke_factor_matches_sigma1():
+    ks = [k for k in range(7) for _ in range(3)]
+    chis = [-1, 0, 1] * 7
+    for p in arith.primes_up_to(50):
+        want = [sigma1(p**k) - chi * (sigma1(p ** (k - 1)) if k else 0) for k, chi in zip(ks, chis)]
+        assert [hecke_factor(p**k, chi, p) for k, chi in zip(ks, chis)] == want, p
+        fp = np.array([p**k for k in ks], dtype=np.int64)
+        assert hecke_factor(fp, np.array(chis, dtype=np.int64), p).tolist() == want, p
 
 
 def test_sigma1_multiplicative():
@@ -210,7 +215,6 @@ def test_sqrt_mod_exhaustive_sweep_to_2000():
 
 
 def test_sqrt_mod_large_prime_power_paths():
-    # moduli above the brute-force threshold exercise lifting
     rng = random.Random(5)
     for mod, p in [(3**9, 3), (2**15, 2), (5**7, 5), (7**6, 7), (10007, 10007), (104729, 104729)]:
         for _ in range(40):
@@ -229,17 +233,17 @@ def test_sqrt_mod_large_prime_power_paths():
         assert empties > 0
 
 
-def test_sqrt_mod_lifting_matches_the_table():
-    # sqrt_mod reads every prime power below _BRUTE_SQRT_LIMIT from a table,
-    # so the sweeps above never reach the lifting path on those moduli
-    assert 2000 <= arith._BRUTE_SQRT_LIMIT
-    for p in arith.primes_up_to(2000):
-        e = 1
-        while p**e < 2000:
-            for x in range(p**e):
-                lifted = arith._sqrt_mod_prime_power_lifted(x, p, e)
-                assert lifted == arith._sqrt_mod_prime_power(x, p, e), (x, p, e)
-            e += 1
+def test_input_rules_do_not_depend_on_size():
+    # the same rule on both sides of 10^6 and of 10^4
+    for n in (6.0, 2e6):
+        with pytest.raises(TypeError):
+            factorize(n)
+        with pytest.raises(TypeError):
+            sqrt_mod(4, n)
+    for m in (9973, 10007):
+        assert sqrt_mod(4.0, m) == sqrt_mod(4, m) == [2, m - 2]
+        with pytest.raises(TypeError):
+            sqrt_mod(4.5, m)
 
 
 def test_sqrt_mod_large_composite():

@@ -268,6 +268,22 @@ def test_empty_or_negative_ranges_exit_two(table_file, capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--ell", "4", "--a", "5", "--b", "2"), "ell must be a prime > 3"),
+    (("verify", "--ell", "5", "--a", "5", "--b", "7"), "need a >= 1 and 0 <= b < a, got (5, 7)"),
+    (("search", "--ell", "5", "--a-max", "0"), "a_max must be >= 1"),
+    (("search", "--ell", "5", "--a-max", "5000"), "need n_max >= 100 * a_max for a meaningful search"),
+    (("dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--max-rows", "-1"), "max_rows must be >= 0"),
+    # the base congruence fails at 3, but the argument error comes first
+    (("square-class", "--ell", "5", "--a", "4", "--b", "3", "--u-max", "0"), "u_max must be >= 1"),
+])
+def test_argument_errors_exit_two_before_any_table_work(tmp_path, capsys, argv, message):
+    path = tmp_path / "miss.csv"
+    code, out, err = run(capsys, *argv, "--table", str(path), "--n-max", "200000")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_dichotomy_max_rows_zero_prints_no_rows(table_file, capsys):
     code, out, _ = run(
         capsys, "dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--max-rows", "0",

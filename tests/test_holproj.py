@@ -293,6 +293,19 @@ def test_subprogression_random_self_checks():
         checked += 1
 
 
+def test_subprogression_takes_the_first_prime_above_a_prime_and_2beta():
+    for a_tilde in range(2, 200):
+        for beta in range(1, a_tilde):
+            two_beta = dict(oracles.factor_brute(2 * beta))
+            a_prime = 1
+            for q, e in oracles.factor_brute(a_tilde):
+                a_prime *= q ** max(e, two_beta.get(q, 0) + 1)
+            lower = max(a_prime, 2 * beta)
+            first = next(p for p in range(lower + 1, 2 * lower + 2) if oracles.factor_brute(p) == [(p, 1)])
+            w = subprogression_construct(a_tilde, -beta * beta % a_tilde, beta)
+            assert (w.p_big, w.a) == (first, a_prime * first), (a_tilde, beta)
+
+
 def test_subprogression_rejects_wrong_square():
     with pytest.raises(ValueError):
         subprogression_construct(5, 1, 1)  # -1 != 1 mod 5

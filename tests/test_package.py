@@ -1,7 +1,7 @@
 """The package entry point re-exports nothing: every public name has one home,
 `hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  A
 module's `__all__` lists exactly what it defines in public.  Every memo cache in
-the package is bounded."""
+the package is bounded, and no other module-level value grows with use."""
 
 import importlib
 import os
@@ -34,6 +34,19 @@ def test_package_attributes_are_the_submodules():
     assert isinstance(hurwitz, types.ModuleType) and hurwitz is sys.modules["hcl.hurwitz"]
 
 
+def _module_state():
+    """(identity, length) of every module-level value of every submodule."""
+    state = {}
+    for name in SUBMODULES:
+        for attr, value in vars(importlib.import_module(f"hcl.{name}")).items():
+            try:
+                size = len(value)
+            except TypeError:
+                size = None
+            state[f"{name}.{attr}"] = (id(value), size)
+    return state
+
+
 def test_every_cache_is_bounded():
     found = {}
     for name in SUBMODULES:
@@ -47,6 +60,21 @@ def test_every_cache_is_bounded():
     } <= found.keys()
     for name, maxsize in found.items():
         assert type(maxsize) is int, (name, maxsize)
+
+    # and nothing else grows: arith's sweeps change no module-level value
+    from hcl.arith import factorize, sqrt_mod
+
+    def sweep(moduli):
+        for m in moduli:
+            sqrt_mod(-1, m)
+            factorize(m)
+            factorize(m * 1_000_003)  # past 10^6: the lazy sieve
+
+    sweep(range(2, 200))  # warm-up: lazy state is built once
+    before = _module_state()
+    sweep(range(200, 2000))
+    sweep([9973, 10007, 3**9, 2**15, 999_983])
+    assert _module_state() == before
 
 
 def test_every_all_lists_the_public_definitions_and_nothing_stale():
