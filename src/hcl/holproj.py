@@ -362,7 +362,7 @@ def exact_projection_coefficient(
     """Coefficient at e(n*tau) of the full projected product: the holomorphic
     part of the sieved class number series times (theta_{a,beta} + theta_{a,-beta}),
     plus 1/16 of the completed-part contributions from proj_theta_product over
-    all square roots beta_tilde of -b mod a.
+    all square roots beta_tilde of -b mod a and over +-beta.
 
     The holomorphic part is the direct sum of 12H(a*n - k^2)/12 over k == beta
     and over k == -beta (mod a), k^2 <= a*n, counting k twice when
@@ -370,6 +370,12 @@ def exact_projection_coefficient(
     puts every a*n - k^2 in the class b, it equals the coefficient of the
     q-series composition u_operator(eisenstein_hol(a*n + 1), a, b) * (thetas),
     as test_exact_projection_matches_qseries_composition checks.
+
+    The completed part needs no square roots: every key mt0 of the theta sums
+    S of the shared walk is a root (mt0^2 == m0^2 == beta^2 (mod a)), and the
+    roots pair up as +-beta_tilde, so it is -sum S minus half the sum of |m|
+    over m = +-sqrt(a*n) with m == beta (mod a), the square term of the root
+    0 (such an m makes -b == beta^2 == a*n == 0 (mod a)).
     """
     _check_a_n(a, n, 0)
     _check_root(a, b, beta)
@@ -380,6 +386,9 @@ def exact_projection_coefficient(
     for c in (beta, -beta):
         k = np.arange(-r + (c + r) % a, r + 1, a)
         hol += int(table.values[an - k * k].sum(dtype=np.int64))
-    # even in beta: proj_theta_product's square term and m_signs both count m == +-beta
-    completed = 2 * sum(proj_theta_product(a, bt, beta, n) for bt in sqrt_mod(-b, a))
-    return Fraction(hol, 12) + Fraction(completed, 16)
+    theta, square = 0, 0
+    if an > 0 and an % 4 != 2:  # m^2 - mt^2 is never == 2 (mod 4)
+        theta = sum(_divisor_pairs(a, beta % a, an)[1].values())
+    if r * r == an:
+        square = r * (((r - beta) % a == 0) + ((r + beta) % a == 0))
+    return Fraction(hol, 12) - Fraction(2 * theta + square, 2)

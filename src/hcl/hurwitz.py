@@ -133,10 +133,11 @@ class HurwitzTable:
 
 
 # The largest n_max build_table accepts.  There the table takes 0.8 GB, the
-# build peaks at about 0.91 GiB and 80 s on a 2-vCPU Xeon, and
-# 12*H(D) <= 384,744, far below 2^31.
+# build peaks at about 860 MiB of RSS and takes about 65 s on a 2-vCPU Xeon,
+# and 12*H(D) <= 384,744, far below 2^31.
 MAX_N_MAX = 2 * 10**8
-_WINDOW = 1 << 17  # n per window: the lanes D = 4n, 4n + 3 are 1 MiB of int32 and stay in L2
+_WINDOW = 1 << 18  # n per row window: the lanes D = 4n, 4n + 3 are 1 MiB of int16 and stay in L2
+_LANE_BOUND = 2**15 - 1  # the most an int16 row lane entry may reach before its window is flushed
 
 
 def build_table(n_max: int) -> HurwitzTable:
@@ -155,21 +156,28 @@ def build_table(n_max: int) -> HurwitzTable:
     entries.  The rows of a, 2a, 4a, ... sum to one row of the largest of
     them, so each odd m contributes one row per stretch between the starts
     of its multiples m * 2^j.  The rows are held in batches of about an
-    eighth of the table's bytes, one sweep per batch.  The table is int32
-    from the start, so the build holds about 4.6 bytes per D.
+    eighth of the table's entries, one sweep per batch.
+
+    Every weight with c > a is 12 or 24, so the sweeps add counts in units
+    of 12, and the table is multiplied by 12 before the terms with c = a go
+    in.  The rows and the row lanes are int16.  An entry of the row of a is
+    at most 2a, so the sum of the rows of a, a/2, a/4, ... is below
+    4a <= 4 * a_body < 2^15 for every n_max <= MAX_N_MAX.  A row adds at
+    most its largest entry to a lane entry, so a sweep flushes a window's
+    lanes into the table before the sum of the largest entries of the rows
+    added since its last flush would pass _LANE_BOUND: exactness rests on
+    that sum, not on the size of H.  The heads keep int32 lanes, over
+    windows of _WINDOW / 2 n so that they too take 1 MiB.  The table is
+    int32 from the start, and the build holds about 4.4 bytes per D (a
+    tracemalloc peak of 4.40 at 10^7).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_N_MAX:
         raise ValueError(f"n_max = {n_max} beyond the supported {MAX_N_MAX}")
     values = np.zeros(n_max + 1, dtype=np.int32)
-    values[0] = -1
-    for a in range(1, isqrt(n_max // 3) + 1):
-        lowest = 4 * a * a - n_max  # b^2 >= lowest keeps D at c = a in the table
-        b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
-        values[4 * a * a - b * b] += np.where(b == a, 4, np.where(b == 0, 6, 12))  # distinct D
     a_body = (isqrt(n_max + 1) - 1) // 2  # the largest a with 4a(a + 1) <= n_max
-    budget = max(values.size // 8, _WINDOW)  # row entries held at once
+    budget = max(values.size // 8, _WINDOW // 2)  # row entries held at once
     _sweep(values, [], heads=True)
     rows, entries = [], 0
     for m in range(1, a_body + 1, 2):
@@ -185,38 +193,63 @@ def build_table(n_max: int) -> HurwitzTable:
         if entries >= budget or m + 2 > a_body:
             _sweep(values, rows, heads=False)
             rows, entries = [], 0
+    values *= 12
+    values[0] = -1
+    for a in range(1, isqrt(n_max // 3) + 1):
+        lowest = 4 * a * a - n_max  # b^2 >= lowest keeps D at c = a in the table
+        b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
+        values[4 * a * a - b * b] += np.where(b == a, 4, np.where(b == 0, 6, 12))  # distinct D
     return HurwitzTable(n_max, values)
 
 
-def _period(a: int, least: int = 0) -> np.ndarray:
-    """The weight row of a on the lanes: entry D // 2 sums the weights of the
-    progressions 4ac - b^2, c > a, b >= least, at D == -b^2 (mod 4a)."""
+def _period(a: int, least: int = 0, dtype=np.int16) -> np.ndarray:
+    """The weight row of a on the lanes, in units of 12: entry D // 2 counts
+    the progressions 4ac - b^2, c > a, b >= least, at D == -b^2 (mod 4a),
+    b = 0 and b = a once and every other b twice.  At most a + 1 values of b
+    meet in one entry, so no entry passes 2a."""
     b = np.arange(least, a + 1)
-    weights = np.where((b == 0) | (b == a), 12, 24)
-    return np.bincount(-b * b % (4 * a) // 2, weights=weights, minlength=2 * a).astype(np.int32)
+    weights = np.where((b == 0) | (b == a), 1, 2)
+    return np.bincount(-b * b % (4 * a) // 2, weights=weights, minlength=2 * a).astype(dtype)
 
 
 def _sweep(values: np.ndarray, rows: list, heads: bool) -> None:
     """Add each doubled lane row over its stretch [start, stop) of n, or the
-    heads when asked, one window of _WINDOW n at a time."""
+    heads when asked, one window at a time, in units of 12.
+
+    A row adds at most its largest entry to a lane entry, so the sum of the
+    largest entries of the rows added since the last flush bounds the int16
+    lanes; they are flushed before that sum would pass _LANE_BOUND."""
     n_end = (values.size + 3) // 4  # the n with 4n <= n_max
+    window = _WINDOW // 2 if heads else _WINDOW
     rows.sort(key=lambda r: r[0])
-    buffer = np.empty(2 * min(_WINDOW, n_end), dtype=np.int32)
-    for lo in range(0 if heads else rows[0][0] // _WINDOW * _WINDOW, n_end, _WINDOW):
-        hi = min(lo + _WINDOW, n_end)
+    tops = [int(doubled.max()) for _, _, doubled in rows]
+    buffer = np.zeros(2 * min(window, n_end), dtype=np.int32 if heads else np.int16)
+    for lo in range(0 if heads else rows[0][0] // window * window, n_end, window):
+        hi = min(lo + window, n_end)
         lanes = buffer[: 2 * (hi - lo)]
-        lanes[:] = 0
-        for start, stop, doubled in rows:
+        bound = 0
+        for (start, stop, doubled), top in zip(rows, tops):
             if start >= hi:
                 break
             start, stop = max(start, lo), min(stop, hi)
             if start < stop:
+                if bound + top > _LANE_BOUND:
+                    _flush(values, lanes, lo)
+                    bound = 0
+                bound += top
                 _add_row(lanes[2 * (start - lo) : 2 * (stop - lo)], doubled, 2 * start)
         if heads:
             _add_heads(lanes, lo, hi)
-        zero, three = values[4 * lo : 4 * hi : 4], values[4 * lo + 3 : 4 * hi : 4]
-        zero += lanes[0::2]
-        three += lanes[1::2][: three.size]  # D = 4n + 3 may pass n_max in the last pair
+        _flush(values, lanes, lo)
+
+
+def _flush(values: np.ndarray, lanes: np.ndarray, lo: int) -> None:
+    """Add the lanes of the window from n = lo into the table and clear them."""
+    hi = lo + lanes.size // 2
+    zero, three = values[4 * lo : 4 * hi : 4], values[4 * lo + 3 : 4 * hi : 4]
+    zero += lanes[0::2]
+    three += lanes[1::2][: three.size]  # D = 4n + 3 may pass n_max in the last pair
+    lanes[:] = 0
 
 
 def _add_row(window: np.ndarray, doubled: np.ndarray, first: int) -> None:
@@ -244,7 +277,9 @@ def _add_heads(lanes: np.ndarray, lo: int, hi: int) -> None:
         step, top = 4 * a, 4 * a * (a + 1)
         started = isqrt(top - 4 * lo - 1) + 1  # the least b with top - b^2 <= 4lo
         if started <= a:
-            _add_row(lanes[: min(2 * hi, top // 2) - 2 * lo], np.tile(_period(a, started), 2), 2 * lo)
+            # int32, as an int16 row would add into the lanes through a slow cast
+            row = np.tile(_period(a, started, np.int32), 2)
+            _add_row(lanes[: min(2 * hi, top // 2) - 2 * lo], row, 2 * lo)
         b = np.arange(isqrt(top - 4 * hi) + 1 if top > 4 * hi else 1, min(started, a + 1))
         if b.size:  # the b with 4hi > top - b^2 > 4lo
             b2 = b * b
@@ -252,10 +287,10 @@ def _add_heads(lanes: np.ndarray, lo: int, hi: int) -> None:
             count = np.minimum((b2 - 1) // step + 1, (b2 + 4 * hi - 1) // step - a)
             at = np.arange(0, 2 * a * int(count.sum()), 2 * a)
             at += np.repeat((top - b2) // 2 - 2 * lo - 2 * a * (np.cumsum(count) - count), count)
-            np.add.at(lanes, at, np.int32(24))  # D repeats across b
-            if b[-1] == a:  # b = a weighs 12
+            np.add.at(lanes, at, np.int32(2))  # D repeats across b
+            if b[-1] == a:  # b = a weighs 1
                 s = (top - a * a) // 2 - 2 * lo
-                lanes[s : s + 2 * a * int(count[-1]) : 2 * a] -= 12
+                lanes[s : s + 2 * a * int(count[-1]) : 2 * a] -= 1
         a += 1
 
 

@@ -6,6 +6,7 @@ slow everywhere else.
 """
 
 import csv
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -145,7 +146,9 @@ def factor_brute(n: int) -> list[tuple[int, int]]:
 
 
 def divisors_brute(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n in increasing order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def proj_theta_brute(a: int, beta_tilde: int, beta: int, n: int) -> int:
@@ -200,6 +203,15 @@ def proj_theta_divisor_walk(a: int, beta_tilde: int, beta: int, n: int) -> int:
             mt_signs = ((mt0 - beta_tilde) % a == 0) + ((mt0 + beta_tilde) % a == 0)
             total += e * m_signs * mt_signs
     return -4 * total
+
+
+def projection_completed_by_roots(a: int, b: int, beta: int, n: int) -> Fraction:
+    """The completed part of exact_projection_coefficient by the route it
+    replaced: 1/16 of proj_theta_product summed over every square root bt of
+    -b mod a (found by scanning), one divisor walk each, and doubled for
+    -beta, as the walk counts the signs m == +-beta alike."""
+    total = sum(proj_theta_divisor_walk(a, bt, beta, n) for bt in sqrt_mod_brute(-b, a))
+    return Fraction(2 * total, 16)
 
 
 def pair_sums_by_root_walk(a: int, beta: int, an: int) -> dict[int, int]:

@@ -21,15 +21,6 @@ from hcl.hurwitz import build_table
 from hcl.qseries import eisenstein_hol, theta_series, u_operator
 
 
-def completed_part_sum(a, b, beta, n):
-    """(1/16) * sum over roots bt of P(a, bt, beta, n) + P(a, bt, -beta, n)."""
-    total = sum(
-        proj_theta_product(a, bt, beta, n) + proj_theta_product(a, bt, -beta, n)
-        for bt in sqrt_mod(-b, a)
-    )
-    return Fraction(total, 16)
-
-
 # ---------------------------
 # sign-enumeration form
 # ---------------------------
@@ -382,7 +373,7 @@ def test_routes_agree_on_pinned_tuples():
         (28, 19, 3, 34, -28),
         (28, 19, 3, 2 * 17 * 281, -(28 + 34)),
     ]:
-        assert completed_part_sum(a, b, beta, n) == expect
+        assert oracles.projection_completed_by_roots(a, b, beta, n) == expect
         assert nonhol_coefficient(a, b, beta, n) == expect
 
 
@@ -390,13 +381,13 @@ def test_routes_differ_in_general():
     # The two closed forms are different functions: the factorization form
     # counts divisor pairs with no same-parity constraint and with the
     # congruences pinned to +beta only.  Pinned values:
-    assert completed_part_sum(5, 4, 1, 3) == -3
+    assert oracles.projection_completed_by_roots(5, 4, 1, 3) == -3
     assert nonhol_coefficient(5, 4, 1, 3) == 0
-    assert completed_part_sum(5, 4, 1, 6) == 0
+    assert oracles.projection_completed_by_roots(5, 4, 1, 6) == 0
     assert nonhol_coefficient(5, 4, 1, 6) == -2
     # a distinguished index where a -beta solution family splits the primes
     # of a across both divisors and only the sign enumeration sees it
-    assert completed_part_sum(15, 14, 1, 17) == -18
+    assert oracles.projection_completed_by_roots(15, 14, 1, 17) == -18
     assert nonhol_coefficient(15, 14, 1, 17) == -15
 
 
@@ -427,7 +418,7 @@ def test_exact_projection_decomposes(table_1m, generic_witnesses):
         if w.a * n > table_1m.n_max:
             continue
         value = exact_projection_coefficient(w.a, w.b, w.beta, n, table_1m)
-        completed = completed_part_sum(w.a, w.b, w.beta, n)
+        completed = oracles.projection_completed_by_roots(w.a, w.b, w.beta, n)
         an = w.a * n
         hol = Fraction(0)
         for residue in {w.beta % w.a, (-w.beta) % w.a}:
@@ -452,7 +443,8 @@ def test_exact_projection_matches_qseries_composition():
         bound = Fraction(a * n + 1, a)
         sieved = u_operator(eisenstein_hol(a * n + 1, table), a, b)
         thetas = theta_series(a, beta, bound) + theta_series(a, -beta, bound)
-        return (sieved * thetas).coefficient(n) + completed_part_sum(a, b, beta, n)
+        completed = oracles.projection_completed_by_roots(a, b, beta, n)
+        return (sieved * thetas).coefficient(n) + completed
 
     small = build_table(2000)
     # 2*beta == 0 (mod a): one class, which both theta series count
@@ -477,6 +469,29 @@ def test_exact_projection_matches_qseries_composition():
         b = (-beta * beta) % a
         value = exact_projection_coefficient(a, b, beta, n, table)
         assert value == composition(a, b, beta, n, table), (a, b, beta, n)
+
+
+def test_exact_projection_completed_part_matches_the_root_route():
+    # every (a, b, beta, n) with a <= 30, beta a root of -b mod a and n <= 200:
+    # the completed part read off the divisor walk, with no root solved,
+    # equals the sum over the roots that it replaced
+    table = build_table(30 * 200)
+    count = 0
+    for a in range(1, 31):
+        for beta in range(a):
+            b = -beta * beta % a
+            for n in range(201):
+                an, r = a * n, isqrt(a * n)
+                hol = sum(
+                    int(table.values[an - k * k])
+                    for c in (beta, -beta)
+                    for k in range(-r + (c + r) % a, r + 1, a)
+                )
+                value = exact_projection_coefficient(a, b, beta, n, table)
+                completed = oracles.projection_completed_by_roots(a, b, beta, n)
+                assert value == Fraction(hol, 12) + completed, (a, b, beta, n)
+                count += 1
+    assert count == 93_465
 
 
 def test_exact_projection_constant_term():
