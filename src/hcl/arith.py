@@ -17,6 +17,7 @@ from math import isqrt
 from operator import index
 
 _SIEVE_LIMIT = 10**6
+PRIME_SEARCH_CAP = 10**7  # the default bound of next_prime_in_class, and so of every prime search
 
 _sieve_primes: tuple[int, ...] | None = None
 
@@ -80,7 +81,7 @@ def check_fundamental(D: int) -> None:
         raise ValueError(f"-{D} is not a fundamental discriminant")
 
 
-def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = 10**7) -> int:
+def next_prime_in_class(lower: int, residue: int, modulus: int, cap: int = PRIME_SEARCH_CAP) -> int:
     """Smallest prime p > lower with p == residue (mod modulus), searched up to cap.
 
     Raises ValueError when the bounded search is exhausted.

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import holproj
-from .arith import check_ell
+from .arith import PRIME_SEARCH_CAP, check_ell
 from .congruence import (
     certificate_to_json,
     check_progression,
@@ -130,11 +130,10 @@ def cmd_square_class(args) -> int:
     check_progression(args.a, args.b)
     check_u_max(args.u_max)
     table = _load_table(path, n_max)
-    ok, counterexample = verify_congruence(args.ell, args.a, args.b, n_max, table)
-    if not ok:
-        print(f"base congruence fails at {counterexample}", file=sys.stderr)
-        return 1
     ok, failures = square_class_check(args.ell, args.a, args.b, args.u_max, n_max, table)
+    if failures and failures[0][0] == 1:  # u = 1, the base progression, is always the first u
+        print(f"base congruence fails at {failures[0][1]}", file=sys.stderr)
+        return 1
     bounds = ord_bound_report(args.a, args.b)
     payload = {
         "ell": args.ell,
@@ -158,13 +157,12 @@ def cmd_square_class(args) -> int:
 
 def cmd_dichotomy(args) -> int:
     path, n_max = _common(args)
-    max_rows = None if args.full_evidence else args.max_rows
     check_ell(args.ell)
     check_progression(args.a, args.b)
-    check_max_rows(max_rows)
+    check_max_rows(args.max_rows)
     table = _load_table(path, n_max)
     report = classify(args.ell, args.a, args.b, n_max, table)
-    print(report_to_json(report, max_rows=max_rows))
+    print(report_to_json(report, max_rows=args.max_rows))
     return 0 if report.case != DichotomyCase.INCONCLUSIVE else 1
 
 
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-rows", type=int, default=20)
-    p.add_argument("--full-evidence", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_dichotomy)
 
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-tilde", type=int, required=True)
     p.add_argument("--b-tilde", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--cap", type=int, default=holproj.PRIME_SEARCH_CAP)
+    p.add_argument("--cap", type=int, default=PRIME_SEARCH_CAP)
     p.set_defaults(func=cmd_subprogression)
 
     return parser

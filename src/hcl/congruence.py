@@ -192,7 +192,8 @@ def square_class_check(
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Verify the congruence on a*Z + b*u^2 for every u <= u_max coprime to a.
 
-    Returns (ok, failures) where failures lists (u, least counterexample).
+    Returns (ok, failures) where failures lists (u, least counterexample) by
+    increasing u, so the base progression, u = 1, comes first.
     """
     check_u_max(u_max)
     failures = []

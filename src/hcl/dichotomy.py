@@ -216,12 +216,11 @@ def enumerate_representations(
         while at.size:
             fp[at] *= p
             at = at[f[at] % (fp[at] * p) == 0]
-        # (-D|p) depends on -D mod 8 at p = 2 and on -D mod p at odd p
+        # (-D|p) depends on -D mod 8 at p = 2 and on -D mod p at odd p, so it is
+        # evaluated once per residue that occurs
         period = 8 if p == 2 else p
-        if period <= len(D):
-            kr = np.array([kronecker(r, p) for r in range(period)], dtype=np.int64)[-D % period]
-        else:  # a table of one entry per residue would outgrow the rows
-            kr = np.array([kronecker(-d, p) for d in D.tolist()], dtype=np.int64)
+        seen, at = np.unique(-D % period, return_inverse=True)
+        kr = np.array([kronecker(r, p) for r in seen.tolist()], dtype=np.int64)[at]
         residue = None
         if ell:
             # f_p > 1 forces p^2 <= f_p * p <= f^2 <= n_max, so no product overflows
@@ -260,13 +259,11 @@ def classify(
     # wraps in int32 but not in int64
     residues = table.values[fundamental].astype(np.int64) * pow(12, -1, ell) % ell
     h_values = list(zip(fundamental.tolist(), residues.tolist()))
-    if not rows:
-        return DichotomyReport(
-            ell, a, b, n_max, DichotomyCase.INCONCLUSIVE, None, assumptions,
-            rows, h_values, None,
-        )
-    witness = None
-    for p, (fp, kr, residue) in rows.local.items():
+    case, witness, prime_power = DichotomyCase.INCONCLUSIVE, None, None
+    if residues.size and not residues.any():
+        case = DichotomyCase.FUNDAMENTAL_DIVISIBILITY
+    # a Hecke witness takes precedence; with no rows the columns are empty and there is none
+    for p, (fp, kr, residue) in rows.local.items() if rows else ():
         if residue.any():
             continue
         if (fp != fp[0]).any() or (kr != kr[0]).any():
@@ -275,24 +272,12 @@ def classify(
                 f"Hecke witness p={p} has non-constant local data {locals_seen}; "
                 "this contradicts the uniqueness property and indicates a bug"
             )
-        witness = HeckeWitness(p, int(kr[0]), int(fp[0]))
-        break
-    if witness is not None:
-        a_p = p_part(a, witness.p)
+        a_p = p_part(a, p)
         pp_ok = ok if a_p == a else verify_congruence(ell, a_p, b % a_p, n_max, table)[0]
-        return DichotomyReport(
-            ell, a, b, n_max, DichotomyCase.HECKE_CONDITION, witness, assumptions,
-            rows, h_values, (a_p, b % a_p, pp_ok),
-        )
-    if residues.size and not residues.any():
-        return DichotomyReport(
-            ell, a, b, n_max, DichotomyCase.FUNDAMENTAL_DIVISIBILITY, None,
-            assumptions, rows, h_values, None,
-        )
-    return DichotomyReport(
-        ell, a, b, n_max, DichotomyCase.INCONCLUSIVE, None, assumptions,
-        rows, h_values, None,
-    )
+        case = DichotomyCase.HECKE_CONDITION
+        witness, prime_power = HeckeWitness(p, int(kr[0]), int(fp[0])), (a_p, b % a_p, pp_ok)
+        break
+    return DichotomyReport(ell, a, b, n_max, case, witness, assumptions, rows, h_values, prime_power)
 
 
 def check_max_rows(max_rows: int | None) -> None:

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .arith import divisors, factorize, is_prime, next_prime_in_class, ord_p, sqrt_mod
+from .arith import PRIME_SEARCH_CAP, divisors, factorize, is_prime, next_prime_in_class, ord_p, sqrt_mod
 from .hurwitz import HurwitzTable
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "find_distinguished_primes",
     "exact_projection_coefficient",
 ]
-
-PRIME_SEARCH_CAP = 10**7
 
 
 def _check_a_n(a: int, n: int, n_min: int) -> None:
@@ -312,7 +310,7 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
     a_prime = 1
     for q, e in factorize(a_tilde):
         a_prime *= q ** max(e, ord_p(2 * beta, q) + 1)
-    p = next_prime_in_class(max(a_prime, 2 * beta), 0, 1, cap=PRIME_SEARCH_CAP)
+    p = next_prime_in_class(max(a_prime, 2 * beta), 0, 1)
     a = a_prime * p
     w = SubprogressionWitness(a_tilde, b_tilde, beta, a, (-beta * beta) % a, p)
     failed = [k for k, v in subprogression_conditions(w).items() if not v]

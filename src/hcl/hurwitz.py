@@ -116,10 +116,14 @@ def hurwitz_via_formula(D: int, f: int) -> HurwitzValue:
 
 @dataclass(frozen=True)
 class HurwitzTable:
-    """Dense table of 12*H(D) for 0 <= D <= n_max."""
+    """Dense table of 12*H(D) for 0 <= D <= n_max, where n_max is read off
+    the values, values.size - 1, so no table claims a D it does not hold."""
 
-    n_max: int
     values: np.ndarray  # int32, values[D] == 12*H(D)
+
+    @property
+    def n_max(self) -> int:
+        return self.values.size - 1
 
     def check_covers(self, n: int) -> None:
         """Raise ValueError unless the table reaches D = n."""
@@ -178,7 +182,7 @@ def build_table(n_max: int) -> HurwitzTable:
     values = np.zeros(n_max + 1, dtype=np.int32)
     a_body = (isqrt(n_max + 1) - 1) // 2  # the largest a with 4a(a + 1) <= n_max
     budget = max(values.size // 8, _WINDOW // 2)  # row entries held at once
-    _sweep(values, [], heads=True)
+    _sweep_heads(values)
     rows, entries = [], 0
     for m in range(1, a_body + 1, 2):
         a, row = m, _period(m)
@@ -191,7 +195,7 @@ def build_table(n_max: int) -> HurwitzTable:
                 break
             row = doubled + _period(a)  # the row so far, repeated to 2a lane entries
         if entries >= budget or m + 2 > a_body:
-            _sweep(values, rows, heads=False)
+            _sweep_rows(values, rows)
             rows, entries = [], 0
     values *= 12
     values[0] = -1
@@ -199,7 +203,7 @@ def build_table(n_max: int) -> HurwitzTable:
         lowest = 4 * a * a - n_max  # b^2 >= lowest keeps D at c = a in the table
         b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
         values[4 * a * a - b * b] += np.where(b == a, 4, np.where(b == 0, 6, 12))  # distinct D
-    return HurwitzTable(n_max, values)
+    return HurwitzTable(values)
 
 
 def _period(a: int, least: int = 0, dtype=np.int16) -> np.ndarray:
@@ -212,20 +216,32 @@ def _period(a: int, least: int = 0, dtype=np.int16) -> np.ndarray:
     return np.bincount(-b * b % (4 * a) // 2, weights=weights, minlength=2 * a).astype(dtype)
 
 
-def _sweep(values: np.ndarray, rows: list, heads: bool) -> None:
-    """Add each doubled lane row over its stretch [start, stop) of n, or the
-    heads when asked, one window at a time, in units of 12.
+def _sweep_heads(values: np.ndarray) -> None:
+    """Add the heads, one window of _WINDOW / 2 n at a time, in units of 12,
+    through int32 lanes of 1 MiB."""
+    n_end = (values.size + 3) // 4  # the n with 4n <= n_max
+    window = _WINDOW // 2
+    buffer = np.zeros(2 * min(window, n_end), dtype=np.int32)
+    for lo in range(0, n_end, window):
+        hi = min(lo + window, n_end)
+        lanes = buffer[: 2 * (hi - lo)]
+        _add_heads(lanes, lo, hi)
+        _flush(values, lanes, lo)
+
+
+def _sweep_rows(values: np.ndarray, rows: list) -> None:
+    """Add each doubled lane row over its stretch [start, stop) of n, one
+    window of _WINDOW n at a time, in units of 12.
 
     A row adds at most its largest entry to a lane entry, so the sum of the
     largest entries of the rows added since the last flush bounds the int16
     lanes; they are flushed before that sum would pass _LANE_BOUND."""
     n_end = (values.size + 3) // 4  # the n with 4n <= n_max
-    window = _WINDOW // 2 if heads else _WINDOW
     rows.sort(key=lambda r: r[0])
     tops = [int(doubled.max()) for _, _, doubled in rows]
-    buffer = np.zeros(2 * min(window, n_end), dtype=np.int32 if heads else np.int16)
-    for lo in range(0 if heads else rows[0][0] // window * window, n_end, window):
-        hi = min(lo + window, n_end)
+    buffer = np.zeros(2 * min(_WINDOW, n_end), dtype=np.int16)
+    for lo in range(rows[0][0] // _WINDOW * _WINDOW, n_end, _WINDOW):
+        hi = min(lo + _WINDOW, n_end)
         lanes = buffer[: 2 * (hi - lo)]
         bound = 0
         for (start, stop, doubled), top in zip(rows, tops):
@@ -238,8 +254,6 @@ def _sweep(values: np.ndarray, rows: list, heads: bool) -> None:
                     bound = 0
                 bound += top
                 _add_row(lanes[2 * (start - lo) : 2 * (stop - lo)], doubled, 2 * start)
-        if heads:
-            _add_heads(lanes, lo, hi)
         _flush(values, lanes, lo)
 
 
@@ -388,4 +402,4 @@ def read_table_csv(path) -> HurwitzTable:
         expected = _twelve_h_enumerate(D)
         if values[D] != expected:
             raise ValueError(f"{path}: 12*H({D}) = {values[D]}, enumeration gives {expected}")
-    return HurwitzTable(n_max, values)
+    return HurwitzTable(values)

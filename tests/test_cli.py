@@ -144,6 +144,23 @@ def test_square_class_command(table_file, capsys):
     assert payload["ok"] is True and payload["ord_within_bounds"] is True
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    # the base progression, u = 1, fails: nothing on stdout
+    (("--a", "4", "--b", "3"), 1, "", "base congruence fails at 3\n"),
+    # the base holds to 3000, but u = 2 and u = 4 fail
+    (("--a", "375", "--b", "48", "--u-max", "5"), 1,
+     "square classes of 48 mod 375: congruence fails for u in [2, 4]\n"
+     "ord_p(a/gcd(a,b)): {'3': 0, '5': 3} (within bounds: False)\n", ""),
+    (("--a", "375", "--b", "48", "--u-max", "5", "--format", "json"), 1,
+     '{"ell": 5, "a": 375, "b": 48, "u_max": 5, "n_max": 3000, "ok": false, '
+     '"failures": [[2, 192], [4, 768]], "ord_report": {"3": 0, "5": 3}, '
+     '"ord_within_bounds": false}\n', ""),
+])
+def test_square_class_failures(table_file, capsys, argv, code, out, err):
+    got = run(capsys, "square-class", "--ell", "5", *argv, "--table", table_file, "--n-max", "3000")
+    assert got == (code, out, err)
+
+
 def test_dichotomy_command(table_file, capsys):
     code, out, _ = run(
         capsys, "dichotomy", "--ell", "5", "--a", "27", "--b", "9",
@@ -291,6 +308,21 @@ def test_dichotomy_max_rows_zero_prints_no_rows(table_file, capsys):
     )
     payload = json.loads(out)
     assert code == 0 and payload["rows"] == [] and payload["rows_total"] > 0
+
+
+def test_dichotomy_max_rows_is_the_one_row_limit(tmp_path, table_file, capsys):
+    args = ("dichotomy", "--ell", "5", "--a", "27", "--b", "9", "--table", table_file, "--n-max", "3000")
+    total = json.loads(run(capsys, *args, "--max-rows", "0")[1])["rows_total"]
+    # a limit at or past rows_total prints every row
+    for max_rows in (total, total + 1):
+        code, out, _ = run(capsys, *args, "--max-rows", str(max_rows))
+        payload = json.loads(out)
+        assert code == 0 and len(payload["rows"]) == payload["rows_total"] == total > 20
+    # and no second option lifts it, before any table work
+    with pytest.raises(SystemExit) as exc:
+        main([*args[:7], "--max-rows", "-1", "--full-evidence", "--table", str(tmp_path / "never.csv")])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def test_verify_refuses_cache_cell_beyond_int32(tmp_path, capsys):

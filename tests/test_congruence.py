@@ -166,7 +166,7 @@ def test_search_mask_across_chunks_matches_plain_scan():
     # a value that breaks (125, 25) only past the first chunk must drop it
     planted = table.values.copy()
     planted[n_max - (n_max - 25) % 125] += 1
-    found = certified(HurwitzTable(n_max, planted), 5, 130, n_max)
+    found = certified(HurwitzTable(planted), 5, 130, n_max)
     assert (125, 25, True) in certified(table, 5, 130, n_max) and (125, 25, True) not in found
     assert found == oracles.search_plain_scan(planted, 5, 130, n_max)
 
@@ -183,7 +183,7 @@ def test_search_skips_unsupported_progressions_exactly_on_any_mask():
             values[D - D % 4 + r] = rng.choice((1, 5 * 7, 11 * 13))
     assert np.count_nonzero(values[2**20 :]) > 0
     assert {int(D) % 4 for D in np.flatnonzero(values)} == {0, 1, 2, 3}
-    table = HurwitzTable(n_max, values)
+    table = HurwitzTable(values)
     for ell in (5, 7, 11, 13):
         found = certified(table, ell, 130, n_max)
         assert found == oracles.search_plain_scan(values, ell, 130, n_max), ell

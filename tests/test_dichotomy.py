@@ -243,7 +243,7 @@ def test_classify_h_values_do_not_wrap_on_int32_tables():
     assert 70000 * pow(12, -1, ell) >= 2**31
     values = np.full(n_max + 1, 70000, dtype=np.int32)
     values[b::a] = 2 * ell
-    report = classify(ell, a, b, n_max, HurwitzTable(n_max, values))
+    report = classify(ell, a, b, n_max, HurwitzTable(values))
     rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
     case, witness, h_values = oracles.classify_rows_reference(rows, values, ell)
     assert report.case.value == case and report.h_values == h_values

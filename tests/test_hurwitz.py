@@ -15,6 +15,7 @@ import oracles
 from hcl.arith import is_fundamental, sigma1
 from hcl.hurwitz import (
     MAX_N_MAX,
+    HurwitzTable,
     build_table,
     class_number,
     hurwitz,
@@ -143,13 +144,12 @@ def test_windowed_build_matches_oracles_at_boundaries(n_max):
 def test_windowed_build_ends_on_a_batch_boundary(monkeypatch):
     batches = []
 
-    def recording(values, rows, heads):
-        if not heads:
-            batches.append(sorted((start, stop) for start, stop, _ in rows))
-        sweep(values, rows, heads)
+    def recording(values, rows):
+        batches.append(sorted((start, stop) for start, stop, _ in rows))
+        sweep(values, rows)
 
-    sweep = hurwitz_module._sweep
-    monkeypatch.setattr(hurwitz_module, "_sweep", recording)
+    sweep = hurwitz_module._sweep_rows
+    monkeypatch.setattr(hurwitz_module, "_sweep_rows", recording)
     for n_max in (_LAST_ALONE - 1, _LAST_ALONE):
         batches.clear()
         values = build_table(n_max).values
@@ -242,16 +242,22 @@ def test_check_covers_is_the_one_coverage_rule():
     t = build_table(100)
     t.check_covers(0)
     t.check_covers(100)
+    # the coverage is the values' own: no table claims more than it holds
+    short = HurwitzTable(build_table(1000).values)
+    assert short.n_max == short.values.size - 1 == 1000
     cases = [
-        (lambda: t.check_covers(101), 101),
-        (lambda: verify_congruence(5, 4, 3, 200, t), 200),
-        (lambda: search(5, 1, 200, t), 200),
-        (lambda: exact_projection_coefficient(5, 4, 1, 30, t), 150),
-        (lambda: eisenstein_hol(150, t), 149),
+        (lambda: t.check_covers(101), 100, 101),
+        (lambda: verify_congruence(5, 4, 3, 200, t), 100, 200),
+        (lambda: search(5, 1, 200, t), 100, 200),
+        (lambda: exact_projection_coefficient(5, 4, 1, 30, t), 100, 150),
+        (lambda: eisenstein_hol(150, t), 100, 149),
+        # the real table fails at D = 1060; a slice past the end of short would verify it
+        (lambda: verify_congruence(5, 134, 122, 10**6, short), 1000, 10**6),
     ]
-    for call, need in cases:
-        with pytest.raises(ValueError, match=rf"^table covers D <= 100, need {need}$"):
+    for call, covers, need in cases:
+        with pytest.raises(ValueError, match=rf"^table covers D <= {covers}, need {need}$"):
             call()
+    assert verify_congruence(5, 134, 122, 1060, build_table(1060)) == (False, 1060)
 
 
 def test_table_csv_roundtrip(tmp_path):
