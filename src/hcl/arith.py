@@ -151,16 +151,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(divs)
 
 
-def sigma1(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    if n < 1:
-        raise ValueError("sigma1 expects n >= 1")
-    total = 1
-    for p, e in factorize(n):
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
-
-
 def hecke_factor(fp, chi, p: int):
     """The local factor sigma1(f_p) - chi * sigma1(f_p / p) at f_p = p^k of
     the class number formula and the Hecke condition, 1 at f_p = 1, in closed

@@ -193,16 +193,15 @@ def square_class_check(
     """Verify the congruence on a*Z + b*u^2 for every u <= u_max coprime to a.
 
     Returns (ok, failures) where failures lists (u, least counterexample) by
-    increasing u, so the base progression, u = 1, comes first.
+    increasing u, so the base progression, u = 1, comes first.  Each distinct
+    residue b*u^2 mod a is verified once.
     """
     check_u_max(u_max)
-    failures = []
-    for u in range(1, u_max + 1):
-        if gcd(u, a) != 1:
-            continue
-        ok, witness = verify_congruence(ell, a, b * u * u % a, n_max, table)
-        if not ok:
-            failures.append((u, witness))
+    residues = {u: b * u * u % a for u in range(1, u_max + 1) if gcd(u, a) == 1}
+    verdicts = {
+        r: verify_congruence(ell, a, r, n_max, table) for r in dict.fromkeys(residues.values())
+    }
+    failures = [(u, verdicts[r][1]) for u, r in residues.items() if not verdicts[r][0]]
     return not failures, failures
 
 

@@ -5,11 +5,12 @@ over n and fills only the two live lanes D = 4n and D = 4n + 3; the points
 below where each a's progressions turn periodic are added window by window
 too.
 
-All values are carried as the integer 12*H(D) so that every computation stays
-in exact integer arithmetic; congruence checks modulo primes ell > 3 are then
-valid on 12*H directly since gcd(12, ell) = 1.  Table values are int32: 12*H(D)
-stays below 10^6 for every D the table builder accepts, so callers widen to
-int64 before multiplying them.
+All values are carried as the integer 12*H(D), a plain int from hurwitz and
+hurwitz_via_formula, so that every computation stays in exact integer
+arithmetic; congruence checks modulo primes ell > 3 are then valid on 12*H
+directly since gcd(12, ell) = 1.  Table values are int32: 12*H(D) stays below
+10^6 for every D the table builder accepts, so callers widen to int64 before
+multiplying them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from .arith import check_fundamental, factorize, hecke_factor, kronecker
 
 __all__ = [
-    "HurwitzValue",
     "HurwitzTable",
     "hurwitz",
     "class_number",
@@ -37,25 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HurwitzValue:
-    """Exact Hurwitz class number, stored as the integer 12*H(D)."""
+def hurwitz(D: int) -> int:
+    """12*H(D) as an int; H(D) itself is Fraction(hurwitz(D), 12).
 
-    twelve_h: int
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twelve_h, 12)
-
-
-def _twelve_h_enumerate(D: int) -> int:
-    """12*H(D) by direct enumeration of reduced forms (a, b, c).
-
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    Forms proportional to x^2+y^2 weigh 1/2 and to x^2+xy+y^2 weigh 1/3;
-    the loop below runs over b >= 0 and books 24 per (a, b, c) with
-    0 < b < a < c to account for the +-b pair.
+    H(0) = -1/12, H(D) = 0 unless -D is congruent to 0 or 1 mod 4, otherwise
+    H(D) is the weighted count of classes of positive definite binary
+    quadratic forms of discriminant -D, found by enumerating the reduced forms
+    (a, b, c): |b| <= a <= c with b >= 0 whenever |b| = a or a = c.  Forms
+    proportional to x^2+y^2 weigh 1/2 and to x^2+xy+y^2 weigh 1/3; the loop
+    below runs over b >= 0 and books 24 per (a, b, c) with 0 < b < a < c to
+    account for the +-b pair.
     """
+    if D < 0:
+        raise ValueError("hurwitz expects D >= 0")
+    if D == 0:
+        return -1
+    if D % 4 in (1, 2):
+        return 0
     total = 0
     for b in range(D % 2, isqrt(D // 3) + 1, 2):
         m4 = b * b + D
@@ -77,41 +74,28 @@ def _twelve_h_enumerate(D: int) -> int:
     return total
 
 
-def hurwitz(D: int) -> HurwitzValue:
-    """H(D): H(0) = -1/12, H(D) = 0 unless -D is congruent to 0 or 1 mod 4,
-    otherwise the weighted count of classes of positive definite binary
-    quadratic forms of discriminant -D."""
-    if D < 0:
-        raise ValueError("hurwitz expects D >= 0")
-    if D == 0:
-        return HurwitzValue(-1)
-    if D % 4 in (1, 2):
-        return HurwitzValue(0)
-    return HurwitzValue(_twelve_h_enumerate(D))
-
-
 def class_number(D: int) -> int:
     """h(-D) for a fundamental discriminant -D; equals H(D) for D > 4."""
     check_fundamental(D)
     if D in (3, 4):
         return 1
-    twelve = hurwitz(D).twelve_h
+    twelve = hurwitz(D)
     if twelve % 12:
         raise ArithmeticError(f"H({D}) is not an integer for fundamental -{D}")
     return twelve // 12
 
 
-def hurwitz_via_formula(D: int, f: int) -> HurwitzValue:
-    """H(D*f^2) via the multiplicative class number formula
+def hurwitz_via_formula(D: int, f: int) -> int:
+    """12*H(D*f^2) via the multiplicative class number formula
     H(D f^2) = H(D) * prod_{p | f} (sigma1(f_p) - (-D|p) * sigma1(f_p / p)).
     """
     check_fundamental(D)
     if f < 1:
         raise ValueError("f must be a positive integer")
-    twelve = hurwitz(D).twelve_h
+    twelve = hurwitz(D)
     for p, e in factorize(f):
         twelve *= hecke_factor(p**e, kronecker(-D, p), p)
-    return HurwitzValue(twelve)
+    return twelve
 
 
 @dataclass(frozen=True)
@@ -129,11 +113,6 @@ class HurwitzTable:
         """Raise ValueError unless the table reaches D = n."""
         if n > self.n_max:
             raise ValueError(f"table covers D <= {self.n_max}, need {n}")
-
-    def twelve_h(self, D: int) -> int:
-        if not 0 <= D <= self.n_max:
-            raise IndexError(f"table covers 0..{self.n_max}, got {D}")
-        return int(self.values[D])
 
 
 # The largest n_max build_table accepts.  There the table takes 0.8 GB, the
@@ -399,7 +378,7 @@ def read_table_csv(path) -> HurwitzTable:
             rule = "must be 0 at D == 1, 2 (mod 4)" if vanishes else "must be positive"
             raise ValueError(f"{path}: 12*H({D}) = {values[D]} {rule}")
     for D in _sample_points(n_max):
-        expected = _twelve_h_enumerate(D)
+        expected = hurwitz(D)
         if values[D] != expected:
             raise ValueError(f"{path}: 12*H({D}) = {values[D]}, enumeration gives {expected}")
     return HurwitzTable(values)

@@ -9,6 +9,8 @@ No module of the package calls this one.  It is the exact composition
 (sieved Eisenstein series times theta series) that
 holproj.exact_projection_coefficient replaces with a direct sum over the table;
 that function's test builds its reference here, and the benchmark traces it.
+The Eisenstein series reads one slice of the table's values, after its
+check_covers.
 """
 
 from __future__ import annotations
@@ -139,18 +141,15 @@ def theta_series(a: int, beta: int, precision) -> QSeries:
 
 
 def eisenstein_hol(precision, table: HurwitzTable) -> QSeries:
-    """Holomorphic generating series of Hurwitz class numbers: coefficient H(D)
-    at integer exponent D."""
+    """Holomorphic generating series of Hurwitz class numbers: coefficient
+    H(D) = table.values[D] / 12 at integer exponent D."""
     bound = Fraction(precision)
     top = bound.numerator // bound.denominator
     if Fraction(top) == bound:
         top -= 1  # strict inequality: exponents < bound
     table.check_covers(top)
-    coeffs = {}
-    for D in range(0, top + 1):
-        t = table.twelve_h(D)
-        if t:
-            coeffs[D] = Fraction(t, 12)
+    twelve_h = table.values[: top + 1].tolist()
+    coeffs = {D: Fraction(t, 12) for D, t in enumerate(twelve_h) if t}
     return QSeries(1, bound, coeffs)
 
 

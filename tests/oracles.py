@@ -126,7 +126,8 @@ def kronecker_prime_brute(x: int, p: int) -> int:
 
 
 def sigma_brute(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
+    """The sum of the divisors of n, by trial division up to sqrt(n)."""
+    return sum(divisors_brute(n))
 
 
 def factor_brute(n: int) -> list[tuple[int, int]]:

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from hcl.arith import (
     next_prime_in_class,
     ord_p,
     p_part,
-    sigma1,
     sqrt_mod,
     squarefree_part,
 )
@@ -84,37 +82,15 @@ def test_divisors_rejects_the_same_arguments_after_caching(bad, kind):
     assert error(bad) == before  # lru_cache stores no exception, and keys 6.0 apart from 6
 
 
-def test_sigma1_values():
-    assert sigma1(1) == 1
-    assert sigma1(5) == 6
-    assert sigma1(8) == 15
-
-
-def test_sigma1_matches_brute():
-    for n in range(1, 500):
-        assert sigma1(n) == oracles.sigma_brute(n)
-
-
 def test_hecke_factor_matches_sigma1():
     ks = [k for k in range(7) for _ in range(3)]
     chis = [-1, 0, 1] * 7
     for p in arith.primes_up_to(50):
-        want = [sigma1(p**k) - chi * (sigma1(p ** (k - 1)) if k else 0) for k, chi in zip(ks, chis)]
+        sigma = [oracles.sigma_brute(p**k) for k in range(7)]
+        want = [sigma[k] - chi * (sigma[k - 1] if k else 0) for k, chi in zip(ks, chis)]
         assert [hecke_factor(p**k, chi, p) for k, chi in zip(ks, chis)] == want, p
         fp = np.array([p**k for k in ks], dtype=np.int64)
         assert hecke_factor(fp, np.array(chis, dtype=np.int64), p).tolist() == want, p
-
-
-def test_sigma1_multiplicative():
-    rng = random.Random(2)
-    checked = 0
-    while checked < 200:
-        m = rng.randrange(2, 10**6)
-        n = rng.randrange(2, 10**6)
-        if gcd(m, n) != 1:
-            continue
-        assert sigma1(m * n) == sigma1(m) * sigma1(n)
-        checked += 1
 
 
 def test_p_part():

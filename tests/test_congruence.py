@@ -236,6 +236,34 @@ def test_square_class_depends_on_u_mod_a(table_1m):
         assert (b * u * u) % a == (b * (u + a) * (u + a)) % a
 
 
+def test_square_class_verifies_each_residue_once(table_small, monkeypatch):
+    # the verdict on a*Z + b*u^2 depends on u only through b*u^2 mod a, so each
+    # distinct residue is verified once, and failures still lists every u
+    import hcl.congruence as congruence
+
+    verify = congruence.verify_congruence
+    calls = []
+
+    def counting(ell, a, b, n_max, table):
+        calls.append(b)
+        return verify(ell, a, b, n_max, table)
+
+    monkeypatch.setattr(congruence, "verify_congruence", counting)
+    values = table_small.values.tolist()
+    for ell, a, b, u_max in [(5, 4, 3, 50), (5, 375, 48, 20), (5, 125, 25, 40), (7, 343, 147, 30)]:
+        calls.clear()
+        ok, failures = square_class_check(ell, a, b, u_max, 10**5, table_small)
+        units = [u for u in range(1, u_max + 1) if gcd(u, a) == 1]
+        assert sorted(calls) == sorted({b * u * u % a for u in units}), (a, b)
+        expected = []
+        for u in units:
+            progression = range(b * u * u % a, 10**5 + 1, a)
+            witness = next((D for D in progression if values[D] % ell), None)
+            if witness is not None:
+                expected.append((u, witness))
+        assert (ok, failures) == (not expected, expected), (a, b)
+
+
 def test_square_class_witness_example():
     assert square_class_witness(10, 49, 3, 7) == 6
     assert square_class_witness(3, 49, 3, 7) == 1  # m == b

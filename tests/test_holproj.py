@@ -401,7 +401,7 @@ def test_exact_projection_classical_regression():
     for n in range(0, 25):
         value = exact_projection_coefficient(1, 0, 0, n, table)
         hol = 2 * sum(
-            Fraction(table.twelve_h(n - m * m), 12)
+            Fraction(int(table.values[n - m * m]), 12)
             for m in range(-isqrt(n) - 1, isqrt(n) + 2)
             if m * m <= n
         )
@@ -426,12 +426,12 @@ def test_exact_projection_decomposes(table_1m, generic_witnesses):
             m = residue
             while m * m <= an:
                 if (an - m * m) % w.a == ((w.b) % w.a):
-                    hol += weight * Fraction(table_1m.twelve_h(an - m * m), 12)
+                    hol += weight * Fraction(int(table_1m.values[an - m * m]), 12)
                 m += w.a
             m = residue - w.a
             while m * m <= an:
                 if (an - m * m) % w.a == ((w.b) % w.a):
-                    hol += weight * Fraction(table_1m.twelve_h(an - m * m), 12)
+                    hol += weight * Fraction(int(table_1m.values[an - m * m]), 12)
                 m -= w.a
         assert value == hol + completed, (w, n)
 

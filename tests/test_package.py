@@ -1,10 +1,12 @@
 """The package entry point re-exports nothing: every public name has one home,
 `hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  A
 module's `__all__` lists exactly what it defines in public.  Every memo cache in
-the package is bounded, and no other module-level value grows with use."""
+the package is bounded, and no other module-level value grows with use.  The
+README's library quick tour runs as written."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -95,3 +97,12 @@ def test_every_all_lists_the_public_definitions_and_nothing_stale():
         }
         assert defined <= set(module.__all__), (name, sorted(defined - set(module.__all__)))
     assert checked >= 5
+
+
+def test_readme_quick_tour_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", text, re.S)
+    assert block, "README has no library quick tour"
+    exec(compile(block.group(1), "README.md", "exec"), {})
