@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import signal
+import traceback
 from dataclasses import dataclass
 from math import isqrt
 
@@ -115,12 +117,18 @@ class HurwitzTable:
             raise ValueError(f"table covers D <= {self.n_max}, need {n}")
 
 
-# The largest n_max build_table accepts.  There the table takes 0.8 GB, the
-# build peaks at about 860 MiB of RSS and takes about 65 s on a 2-vCPU Xeon,
-# and 12*H(D) <= 384,744, far below 2^31.
+# The largest n_max build_table accepts.  There the table takes 0.8 GB, and
+# the build takes 25 s on a 2-vCPU Xeon, with peak RSS of 814 MiB in the
+# parent and 365 MiB in the child; 12*H(D) <= 384,744, far below 2^31.
 MAX_N_MAX = 2 * 10**8
 _WINDOW = 1 << 18  # n per row window: the lanes D = 4n, 4n + 3 are 1 MiB of int16 and stay in L2
 _LANE_BOUND = 2**15 - 1  # the most an int16 row lane entry may reach before its window is flushed
+# The least n_max build_table sweeps in two processes.  Below it the fork, the
+# child's page faults and the pipe cost more than half the sweep: sequential
+# against forked, 0.052 against 0.077 s at 10^6, 0.113 against 0.145 s at
+# 2*10^6, and 0.143 against 0.106 s at 2.5*10^6 (medians of 9 alternated
+# builds on a 2-vCPU Xeon).
+_FORK_FLOOR = 3 * 10**6
 
 
 def build_table(n_max: int) -> HurwitzTable:
@@ -153,29 +161,33 @@ def build_table(n_max: int) -> HurwitzTable:
     windows of _WINDOW / 2 n so that they too take 1 MiB.  The table is
     int32 from the start, and the build holds about 4.4 bytes per D (a
     tracemalloc peak of 4.40 at 10^7).
+
+    From n_max = _FORK_FLOOR on, the sweeps run in two processes over
+    disjoint ranges of n, each running the heads and then the row batches
+    of its own windows only, so no table entry is written by both.  The work
+    per window grows as sqrt(n), so the parent takes [0, split) and one
+    os.fork'ed child [split, n_end) with split = n_end * 2^(-2/3), which
+    gives the two equal work.  Below the floor a child costs more than it
+    saves and the parent sweeps every n.  The child writes its part of the
+    table, D >= 4 * split, into a pipe and leaves by os._exit: 0 once every
+    byte is written, 1 on any exception.  The parent reads those bytes
+    straight into its own table, so the table stays one owned int32 array,
+    then closes the pipe and reaps the child on every path, killing it
+    first when the parent itself raised.  A nonzero exit status or a short
+    slice raises RuntimeError.  The child calls no BLAS, so the threads an
+    OpenBLAS build of numpy keeps are never needed in it; Python >= 3.12
+    still warns on fork in a process that runs threads.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_N_MAX:
         raise ValueError(f"n_max = {n_max} beyond the supported {MAX_N_MAX}")
     values = np.zeros(n_max + 1, dtype=np.int32)
-    a_body = (isqrt(n_max + 1) - 1) // 2  # the largest a with 4a(a + 1) <= n_max
-    budget = max(values.size // 8, _WINDOW // 2)  # row entries held at once
-    _sweep_heads(values)
-    rows, entries = [], 0
-    for m in range(1, a_body + 1, 2):
-        a, row = m, _period(m)
-        while True:
-            doubled = np.tile(row, 2)  # any phase of the row is one slice of this
-            rows.append((a * (a + 1), 2 * a * (2 * a + 1), doubled))
-            entries += doubled.size
-            a *= 2
-            if a > a_body:
-                break
-            row = doubled + _period(a)  # the row so far, repeated to 2a lane entries
-        if entries >= budget or m + 2 > a_body:
-            _sweep_rows(values, rows)
-            rows, entries = [], 0
+    n_end = (values.size + 3) // 4  # the n with 4n <= n_max
+    if n_max < _FORK_FLOOR:
+        _sweep_range(values, 0, n_end)
+    else:
+        _sweep_forked(values, _split(n_end), n_end)
     values *= 12
     values[0] = -1
     for a in range(1, isqrt(n_max // 3) + 1):
@@ -183,6 +195,93 @@ def build_table(n_max: int) -> HurwitzTable:
         b = np.arange(isqrt(lowest - 1) + 1 if lowest > 0 else 0, a + 1)
         values[4 * a * a - b * b] += np.where(b == a, 4, np.where(b == 0, 6, 12))  # distinct D
     return HurwitzTable(values)
+
+
+def _split(n_end: int) -> int:
+    """The first n of the child's range.  The work per window grows as sqrt(n),
+    so the parent's [0, split) and the child's [split, n_end) take equal work
+    at split = n_end * 2^(-2/3)."""
+    return int(n_end * 2 ** (-2 / 3))
+
+
+def _sweep_forked(values: np.ndarray, split: int, n_end: int) -> None:
+    """Sweep [0, split) here and [split, n_end) in a forked child, whose lanes
+    come back through a pipe into values; the child is reaped on every path."""
+    theirs = memoryview(values[4 * split :]).cast("B")
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns, so no caller's cleanup runs twice
+        status = 1
+        try:
+            os.close(read)
+            _sweep_range(values, split, n_end)
+            _send(write, theirs)
+            status = 0
+        except BaseException:  # reported by the exit status, after the traceback
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        _sweep_range(values, 0, split)
+        got = _receive(read, theirs)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read)  # a child still writing gets EPIPE and exits
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"build_table: the child sweeping n >= {split} exited with status {status}")
+    if got != theirs.nbytes:
+        raise RuntimeError(f"build_table: the child sent {got} of {theirs.nbytes} bytes")
+
+
+def _send(fd: int, view: memoryview) -> None:
+    """Write all of view to fd."""
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int, view: memoryview) -> int:
+    """Read from fd into view until it is full or the writer closes; the
+    number of bytes read."""
+    got = 0
+    while got < view.nbytes:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def _sweep_range(values: np.ndarray, lo: int, hi: int) -> None:
+    """Add, in units of 12, every term with c > a whose lane n lies in
+    [lo, hi): the heads, then the periodic rows in batches."""
+    n_max = values.size - 1
+    a_body = (isqrt(n_max + 1) - 1) // 2  # the largest a with 4a(a + 1) <= n_max
+    budget = max(values.size // 8, _WINDOW // 2)  # row entries held at once
+    _sweep_heads(values, lo, hi)
+    rows, entries = [], 0
+    for m in range(1, a_body + 1, 2):
+        if m * (m + 1) >= hi:  # every row of m and of each later odd m starts past hi
+            break
+        a, row = m, _period(m)
+        while True:
+            doubled = np.tile(row, 2)  # any phase of the row is one slice of this
+            start, stop = a * (a + 1), 2 * a * (2 * a + 1)
+            if start < hi and stop > lo:
+                rows.append((start, stop, doubled))
+                entries += doubled.size
+            a *= 2
+            if a > a_body:
+                break
+            row = doubled + _period(a)  # the row so far, repeated to 2a lane entries
+        if entries >= budget:
+            _sweep_rows(values, rows, lo, hi)
+            rows, entries = [], 0
+    if rows:
+        _sweep_rows(values, rows, lo, hi)
 
 
 def _period(a: int, least: int = 0, dtype=np.int16) -> np.ndarray:
@@ -195,45 +294,43 @@ def _period(a: int, least: int = 0, dtype=np.int16) -> np.ndarray:
     return np.bincount(-b * b % (4 * a) // 2, weights=weights, minlength=2 * a).astype(dtype)
 
 
-def _sweep_heads(values: np.ndarray) -> None:
-    """Add the heads, one window of _WINDOW / 2 n at a time, in units of 12,
-    through int32 lanes of 1 MiB."""
-    n_end = (values.size + 3) // 4  # the n with 4n <= n_max
+def _sweep_heads(values: np.ndarray, lo: int, hi: int) -> None:
+    """Add the heads over the n in [lo, hi), one window of _WINDOW / 2 n at a
+    time, in units of 12, through int32 lanes of 1 MiB."""
     window = _WINDOW // 2
-    buffer = np.zeros(2 * min(window, n_end), dtype=np.int32)
-    for lo in range(0, n_end, window):
-        hi = min(lo + window, n_end)
-        lanes = buffer[: 2 * (hi - lo)]
-        _add_heads(lanes, lo, hi)
-        _flush(values, lanes, lo)
+    buffer = np.zeros(2 * min(window, hi - lo), dtype=np.int32)
+    for start in range(lo, hi, window):
+        stop = min(start + window, hi)
+        lanes = buffer[: 2 * (stop - start)]
+        _add_heads(lanes, start, stop)
+        _flush(values, lanes, start)
 
 
-def _sweep_rows(values: np.ndarray, rows: list) -> None:
-    """Add each doubled lane row over its stretch [start, stop) of n, one
-    window of _WINDOW n at a time, in units of 12.
+def _sweep_rows(values: np.ndarray, rows: list, lo: int, hi: int) -> None:
+    """Add each doubled lane row over its stretch [start, stop) of n, clipped
+    to [lo, hi), one window of _WINDOW n at a time, in units of 12.
 
     A row adds at most its largest entry to a lane entry, so the sum of the
     largest entries of the rows added since the last flush bounds the int16
     lanes; they are flushed before that sum would pass _LANE_BOUND."""
-    n_end = (values.size + 3) // 4  # the n with 4n <= n_max
     rows.sort(key=lambda r: r[0])
     tops = [int(doubled.max()) for _, _, doubled in rows]
-    buffer = np.zeros(2 * min(_WINDOW, n_end), dtype=np.int16)
-    for lo in range(rows[0][0] // _WINDOW * _WINDOW, n_end, _WINDOW):
-        hi = min(lo + _WINDOW, n_end)
-        lanes = buffer[: 2 * (hi - lo)]
+    buffer = np.zeros(2 * min(_WINDOW, hi - lo), dtype=np.int16)
+    for w_lo in range(max(lo, rows[0][0] // _WINDOW * _WINDOW), hi, _WINDOW):
+        w_hi = min(w_lo + _WINDOW, hi)
+        lanes = buffer[: 2 * (w_hi - w_lo)]
         bound = 0
         for (start, stop, doubled), top in zip(rows, tops):
-            if start >= hi:
+            if start >= w_hi:
                 break
-            start, stop = max(start, lo), min(stop, hi)
+            start, stop = max(start, w_lo), min(stop, w_hi)
             if start < stop:
                 if bound + top > _LANE_BOUND:
-                    _flush(values, lanes, lo)
+                    _flush(values, lanes, w_lo)
                     bound = 0
                 bound += top
-                _add_row(lanes[2 * (start - lo) : 2 * (stop - lo)], doubled, 2 * start)
-        _flush(values, lanes, lo)
+                _add_row(lanes[2 * (start - w_lo) : 2 * (stop - w_lo)], doubled, 2 * start)
+        _flush(values, lanes, w_lo)
 
 
 def _flush(values: np.ndarray, lanes: np.ndarray, lo: int) -> None:

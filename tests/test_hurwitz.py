@@ -146,9 +146,10 @@ def test_windowed_build_matches_oracles_at_boundaries(n_max):
 def test_windowed_build_ends_on_a_batch_boundary(monkeypatch):
     batches = []
 
-    def recording(values, rows):
+    def recording(values, rows, lo, hi):
+        assert (lo, hi) == (0, (values.size + 3) // 4)  # one process sweeps every n
         batches.append(sorted((start, stop) for start, stop, _ in rows))
-        sweep(values, rows)
+        sweep(values, rows, lo, hi)
 
     sweep = hurwitz_module._sweep_rows
     monkeypatch.setattr(hurwitz_module, "_sweep_rows", recording)
@@ -190,10 +191,121 @@ def test_build_table_matches_strided_sweep_at_one_million(table_1m):
     assert table_1m.values.tolist() == oracles.build_table_strided_reference(10**6)
 
 
-def test_build_table_sha256_at_ten_million():
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the list gains each child's pid in the parent."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_build_table_sha256_at_ten_million(monkeypatch):
+    forks = _count_forks(monkeypatch)
     values = build_table(10**7).values
+    assert len(forks) == 1  # the hash pins the table the two processes build
     digest = hashlib.sha256(values.astype("<i4").tobytes()).hexdigest()
     assert digest == "13e58c590a30b37bde8eddb7256a6b50cc9db2b1fa9860ff7c061829427d973f"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3, 4, 7, 8, 12, 13, 49, 50, 1000, 1001, 65537])
+def test_forked_build_matches_strided_sweep_above_a_lowered_floor(monkeypatch, n_max):
+    # n_end = (n_max + 4) // 4 runs odd and even; below n_max = 4 the parent's range is empty
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(hurwitz_module, "_FORK_FLOOR", 0)
+    values = build_table(n_max).values
+    assert len(forks) == 1
+    assert values.dtype == "int32" and values.flags.owndata
+    assert values.tolist() == oracles.build_table_strided_reference(n_max)
+    assert oracles.kronecker_hurwitz_mismatches(values) == []
+    _assert_no_child_left()
+
+
+_HEADS_EDGE = _WINDOW // 2  # n at the first heads window edge; _WINDOW is the first row window edge
+
+
+@pytest.mark.parametrize(
+    "n_max, split",
+    [
+        (2**19 + 5, _HEADS_EDGE),  # n_end = 131074, even
+        (2**20 + 2, _HEADS_EDGE),  # n_end = 262145, odd
+        (2**20 + 2, _WINDOW),  # the upper range is one n long
+        (2**20 + 6, _WINDOW),  # n_end = 262146, even
+        (_STRADDLE, 140000),  # inside the head of a = 400, n in [120400, 160400)
+        (4003, 1000),  # n_end = 1001, odd: the upper range is one n long
+        (4004, 1001),  # n_end = 1002, even: likewise
+    ],
+)
+def test_forked_build_matches_strided_sweep_at_forced_splits(monkeypatch, n_max, split):
+    assert split < (n_max + 4) // 4
+    monkeypatch.setattr(hurwitz_module, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(hurwitz_module, "_split", lambda n_end: split)
+    values = build_table(n_max).values
+    assert values.tolist() == oracles.build_table_strided_reference(n_max)
+    assert oracles.kronecker_hurwitz_mismatches(values) == []
+    _assert_no_child_left()
+
+
+class _Planted(Exception):
+    pass
+
+
+def _raise_on(side, sweep):
+    """A _sweep_range that raises in the parent (side 0, whose range starts at
+    n = 0) or in the child (side 1)."""
+
+    def sweep_or_raise(values, lo, hi):
+        if (lo > 0) == side:
+            raise _Planted(f"planted at n = {lo}")
+        sweep(values, lo, hi)
+
+    return sweep_or_raise
+
+
+@pytest.mark.parametrize("when", ["before sending", "after sending"])
+def test_forked_build_raises_when_the_child_raises(monkeypatch, when):
+    # after the send every byte arrives, so only the exit status tells
+    def send_then_raise(fd, view):
+        send(fd, view)
+        raise _Planted("after the send")
+
+    send = hurwitz_module._send
+    monkeypatch.setattr(hurwitz_module, "_FORK_FLOOR", 0)
+    if when == "before sending":
+        monkeypatch.setattr(hurwitz_module, "_sweep_range", _raise_on(1, hurwitz_module._sweep_range))
+    else:
+        monkeypatch.setattr(hurwitz_module, "_send", send_then_raise)
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        build_table(5000)
+    _assert_no_child_left()
+
+
+def test_forked_build_detects_a_short_slice_from_a_child_that_exits_zero(monkeypatch):
+    send = hurwitz_module._send
+    monkeypatch.setattr(hurwitz_module, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(hurwitz_module, "_send", lambda fd, view: send(fd, view[:-4]))
+    theirs = 4 * (5001 - 4 * hurwitz_module._split((5000 + 4) // 4))  # bytes of D >= 4 * split
+    with pytest.raises(RuntimeError, match=f"the child sent {theirs - 4} of {theirs} bytes"):
+        build_table(5000)
+    _assert_no_child_left()
+
+
+def test_forked_build_reaps_the_child_when_the_parent_raises(monkeypatch):
+    monkeypatch.setattr(hurwitz_module, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(hurwitz_module, "_sweep_range", _raise_on(0, hurwitz_module._sweep_range))
+    with pytest.raises(_Planted, match="planted at n = 0"):
+        build_table(5000)
+    _assert_no_child_left()
 
 
 def test_build_table_holds_under_six_bytes_per_d():
@@ -207,6 +319,22 @@ def test_build_table_holds_under_six_bytes_per_d():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert table.values.flags.owndata and table.values.flags.writeable
+    assert peak < 5.49 * (n_max + 1), peak / (n_max + 1)
+
+
+def test_forked_build_holds_under_six_bytes_per_d_in_the_parent(monkeypatch):
+    # the child's lanes come back into the parent's own table, with no copy:
+    # 4.68 bytes per D measured at the floor
+    forks = _count_forks(monkeypatch)
+    n_max = hurwitz_module._FORK_FLOOR
+    tracemalloc.start()
+    try:
+        table = build_table(n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1
     assert table.values.flags.owndata and table.values.flags.writeable
     assert peak < 5.49 * (n_max + 1), peak / (n_max + 1)
 
