@@ -1,12 +1,12 @@
 """Elementary exact number-theoretic primitives shared by the other modules.
 
 Everything here is a pure function of its arguments, returning ints, lists or
-tuples.  Two kinds of state only remember results:
-- the prime sieve up to 10^6, built once on first use and never mutated;
-- the bounded cache on `divisors`, whose entries are immutable tuples.
-A racing thread at worst builds the sieve twice with the same content, and
-`functools.lru_cache` takes its own lock, so the module is safe for
-concurrent use.
+tuples.  The only state is two bounded `functools.lru_cache`s, whose entries
+are immutable tuples:
+- one entry on `sieve_primes`, the primes up to 10^6, built on first use;
+- 256 entries on `divisors`.
+A racing thread at worst computes an entry twice with the same content, so
+the module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from operator import index
 _SIEVE_LIMIT = 10**6
 PRIME_SEARCH_CAP = 10**7  # the default bound of next_prime_in_class, and so of every prime search
 
-_sieve_primes: tuple[int, ...] | None = None
-
 
 def primes_up_to(n: int) -> tuple[int, ...]:
     """All primes p <= n, ascending, by the sieve of Eratosthenes."""
@@ -32,12 +30,10 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n + 1), sieve))
 
 
+@lru_cache(maxsize=1)
 def sieve_primes() -> tuple[int, ...]:
     """All primes up to 10^6, computed once."""
-    global _sieve_primes
-    if _sieve_primes is None:
-        _sieve_primes = primes_up_to(_SIEVE_LIMIT)
-    return _sieve_primes
+    return primes_up_to(_SIEVE_LIMIT)
 
 
 _TRIAL_PRIMES = primes_up_to(isqrt(_SIEVE_LIMIT))  # the 168 primes below 1000

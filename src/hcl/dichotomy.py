@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from math import isqrt
-from operator import index
 
 import numpy as np
 
@@ -143,10 +142,7 @@ class _Representations(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self._rows(i)
-        i = index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("representation index out of range")
-        i %= len(self)
+        i = range(len(self))[i]
         return self._rows(slice(i, i + 1))[0]
 
     def __eq__(self, other):

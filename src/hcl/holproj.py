@@ -258,7 +258,8 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
 class SubprogressionWitness:
     """Progression a*Z + b refining a_tilde*Z + b_tilde, with -b == beta^2 (mod a),
     every gcd(a_q, 2*beta) a proper divisor of the p-part a_q, and a prime
-    p_big | a with a < p_big^2 and 0 <= 2*beta < p_big."""
+    p_big | a with a < p_big^2 and 0 <= 2*beta < p_big.  Valid by construction:
+    the constructor raises ValueError naming each condition that fails."""
 
     a_tilde: int
     b_tilde: int
@@ -267,9 +268,14 @@ class SubprogressionWitness:
     b: int
     p_big: int
 
+    def __post_init__(self) -> None:
+        failed = [k for k, v in subprogression_conditions(self).items() if not v]
+        if failed:
+            raise ValueError(f"witness fails conditions: {failed}")
+
 
 def subprogression_conditions(w: SubprogressionWitness) -> dict[str, bool]:
-    """Evaluate the four defining conditions of a witness."""
+    """The four defining conditions of a witness, which its constructor checks."""
     divides = w.a % w.a_tilde == 0 and (w.b - w.b_tilde) % w.a_tilde == 0
     square = (w.b + w.beta * w.beta) % w.a == 0
     proper = all(gcd(p**e, 2 * w.beta) != p**e for p, e in factorize(w.a))
@@ -294,10 +300,10 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
     multiplies it by the first prime p > max(a', 2*beta), and takes
     b = -beta^2 mod a.  The four conditions hold at that p: p > a' gives
     a < p^2, p > 2*beta keeps p out of 2*beta, and every q | a_tilde divides a'
-    more often than 2*beta.  They are still checked, and a failure is raised
-    as a bug.  beta is normalized to its least nonnegative residue mod
-    a_tilde first; beta == 0 (mod a_tilde) admits no witness (the gcd
-    condition fails at p) and is rejected.
+    more often than 2*beta.  The witness is valid by construction, as every
+    SubprogressionWitness is.  beta is normalized to its least nonnegative
+    residue mod a_tilde first; beta == 0 (mod a_tilde) admits no witness (the
+    gcd condition fails at p) and is rejected.
     """
     if a_tilde < 1:
         raise ValueError("a_tilde must be >= 1")
@@ -312,14 +318,7 @@ def subprogression_construct(a_tilde: int, b_tilde: int, beta: int) -> Subprogre
         a_prime *= q ** max(e, ord_p(2 * beta, q) + 1)
     p = next_prime_in_class(max(a_prime, 2 * beta), 0, 1)
     a = a_prime * p
-    w = SubprogressionWitness(a_tilde, b_tilde, beta, a, (-beta * beta) % a, p)
-    failed = [k for k, v in subprogression_conditions(w).items() if not v]
-    if failed:
-        raise ArithmeticError(
-            f"witness ({a}, {w.b}, {p}) for ({a_tilde}, {b_tilde}, {beta}) fails "
-            f"conditions {failed}; this indicates a bug"
-        )
-    return w
+    return SubprogressionWitness(a_tilde, b_tilde, beta, a, (-beta * beta) % a, p)
 
 
 @dataclass(frozen=True)
@@ -337,11 +336,7 @@ class DistinguishedPrimes:
 def find_distinguished_primes(
     w: SubprogressionWitness, cap: int = PRIME_SEARCH_CAP
 ) -> DistinguishedPrimes:
-    """Smallest qualifying primes for a valid witness (deterministic)."""
-    conditions = subprogression_conditions(w)
-    if not all(conditions.values()):
-        failed = [k for k, v in conditions.items() if not v]
-        raise ValueError(f"witness fails conditions: {failed}")
+    """Smallest qualifying primes for a witness, valid by construction (deterministic)."""
     a, beta = w.a, w.beta
     a_prime = gcd(a, 2 * beta)
     if (2 * beta - a_prime) % a == 0:

@@ -168,15 +168,17 @@ def build_table(n_max: int) -> HurwitzTable:
     per window grows as sqrt(n), so the parent takes [0, split) and one
     os.fork'ed child [split, n_end) with split = n_end * 2^(-2/3), which
     gives the two equal work.  Below the floor a child costs more than it
-    saves and the parent sweeps every n.  The child writes its part of the
-    table, D >= 4 * split, into a pipe and leaves by os._exit: 0 once every
-    byte is written, 1 on any exception.  The parent reads those bytes
-    straight into its own table, so the table stays one owned int32 array,
-    then closes the pipe and reaps the child on every path, killing it
-    first when the parent itself raised.  A nonzero exit status or a short
-    slice raises RuntimeError.  The child calls no BLAS, so the threads an
-    OpenBLAS build of numpy keeps are never needed in it; Python >= 3.12
-    still warns on fork in a process that runs threads.
+    saves and the parent sweeps every n.  Both ends of the pipe are buffered
+    file objects.  The child writes its part of the table, D >= 4 * split,
+    closes its end and leaves by os._exit: 0 once every byte is written, 1 on
+    any exception.  The parent's readinto, which stops at a full slice or at
+    the child's close, reads those bytes straight into its own table, so the
+    table stays one owned int32 array.  The parent then closes its end and
+    reaps the child on every path, killing it first when it raised itself.
+    A nonzero exit status or a short slice raises RuntimeError.  The child
+    calls no BLAS, so the threads an OpenBLAS build of numpy keeps are never
+    needed in it; Python >= 3.12 still warns on fork in a process that runs
+    threads.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -222,14 +224,15 @@ def _sweep_forked(values: np.ndarray, split: int, n_end: int) -> None:
         finally:
             os._exit(status)
     os.close(write)
+    source = open(read, "rb")
     try:
         _sweep_range(values, 0, split)
-        got = _receive(read, theirs)
+        got = source.readinto(theirs)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(read)  # a child still writing gets EPIPE and exits
+        source.close()  # a child still writing gets EPIPE and exits
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         raise RuntimeError(f"build_table: the child sweeping n >= {split} exited with status {status}")
@@ -238,21 +241,9 @@ def _sweep_forked(values: np.ndarray, split: int, n_end: int) -> None:
 
 
 def _send(fd: int, view: memoryview) -> None:
-    """Write all of view to fd."""
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(fd: int, view: memoryview) -> int:
-    """Read from fd into view until it is full or the writer closes; the
-    number of bytes read."""
-    got = 0
-    while got < view.nbytes:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            break
-        got += n
-    return got
+    """Write all of view to fd and close it."""
+    with open(fd, "wb") as sink:
+        sink.write(view)
 
 
 def _sweep_range(values: np.ndarray, lo: int, hi: int) -> None:

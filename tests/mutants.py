@@ -1,0 +1,170 @@
+"""The mutation catalogue: each mutant breaks the program at one exact piece of
+text, and names the tests that must catch it.
+
+Run from anywhere, with the interpreter the suite runs under:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named mutants
+
+Each mutant runs in its own temporary copy of src/, tests/ and pyproject.toml:
+its text is replaced there, and only its named tests run.  The mutant is
+killed when every named test fails (a name without a parameter id counts as
+failed when any of its cases fails), and a named test that passes lets it
+survive.  Before any mutant, the named tests run once on an unmutated copy
+and must all pass.  A mutant whose text is not found exactly once in its file
+is an error: the code moved, and the entry must move with it.  The exit status
+is 0 when every mutant is killed, 1 otherwise.
+
+pytest does not collect this file: its name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 300
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in path
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each expected to fail
+
+
+_FORKED = "tests/test_hurwitz.py::test_forked_build_"
+
+MUTANTS = (
+    Mutant(
+        "witness constructor checks nothing",
+        "src/hcl/holproj.py",
+        "        if failed:\n            raise ValueError(f\"witness fails conditions: {failed}\")\n",
+        "",
+        ("tests/test_holproj.py::test_witness_constructor_rejects_each_failed_condition",),
+    ),
+    Mutant(
+        "parent trusts the slice size, not readinto's count",
+        "src/hcl/hurwitz.py",
+        "        got = source.readinto(theirs)\n",
+        "        source.readinto(theirs)\n        got = theirs.nbytes\n",
+        (_FORKED + "detects_a_short_slice_from_a_child_that_exits_zero",),
+    ),
+    Mutant(
+        "representation index not normalised",
+        "src/hcl/dichotomy.py",
+        "        i = range(len(self))[i]\n",
+        "",
+        ("tests/test_dichotomy.py::test_evidence_is_a_lazy_read_only_sequence",),
+    ),
+    Mutant(
+        "sieve cache unbounded",
+        "src/hcl/arith.py",
+        "@lru_cache(maxsize=1)\ndef sieve_primes(",
+        "@lru_cache(maxsize=None)\ndef sieve_primes(",
+        ("tests/test_package.py::test_every_cache_is_bounded",),
+    ),
+    Mutant(
+        "child reaped only when the parent does not raise",
+        "src/hcl/hurwitz.py",
+        "        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n    if status",
+        "    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n    if status",
+        (_FORKED + "reaps_the_child_when_the_parent_raises",),
+    ),
+    Mutant(
+        "byte count unchecked",
+        "src/hcl/hurwitz.py",
+        "    if got != theirs.nbytes:\n",
+        "    if False:\n",
+        (_FORKED + "detects_a_short_slice_from_a_child_that_exits_zero",),
+    ),
+    Mutant(
+        "exit status unchecked",
+        "src/hcl/hurwitz.py",
+        "    if status != 0:\n",
+        "    if False:\n",
+        (
+            _FORKED + "raises_when_the_child_raises[before sending]",
+            _FORKED + "raises_when_the_child_raises[after sending]",
+        ),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _failed(tree: Path, tests: tuple[str, ...]) -> list[str]:
+    """Run tests in tree; the node ids pytest reports as failed or in error."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        timeout=TIMEOUT_S,
+    )
+    failed = [
+        line.split(" ", 1)[1].split(" - ")[0]
+        for line in run.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    if run.returncode not in (0, 1) or (run.returncode == 1) != bool(failed):
+        raise RuntimeError(f"pytest exited with {run.returncode}:\n{run.stdout}{run.stderr}")
+    return failed
+
+
+def _caught_by(test: str, failed: list[str]) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise LookupError(f"{mutant.name}: its text occurs {count} times in {mutant.path}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"no such mutant: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        everything = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        if _failed(clean, everything):
+            raise SystemExit("the named tests do not all pass on the unmutated tree")
+        survivors = 0
+        for i, mutant in enumerate(chosen):
+            tree = Path(tmp) / f"mutant{i}"
+            _copy_tree(tree)
+            _apply(tree, mutant)
+            failed = _failed(tree, mutant.tests)
+            passed = [t for t in mutant.tests if not _caught_by(t, failed)]
+            survivors += bool(passed)
+            verdict = f"SURVIVED: {', '.join(passed)} passed" if passed else "killed"
+            print(f"{mutant.name}: {verdict}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

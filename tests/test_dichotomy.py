@@ -131,6 +131,9 @@ def test_evidence_is_a_lazy_read_only_sequence():
             rows[i]
     with pytest.raises(IndexError):
         enumerate_representations(27, 9, 5)[0]
+    for i in (1.0, "1", None):  # only an integer or a slice indexes
+        with pytest.raises(TypeError):
+            rows[i]
     with pytest.raises(TypeError):
         rows[0] = rows[1]
     # the sequence class stays private

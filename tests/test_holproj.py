@@ -325,9 +325,20 @@ def test_find_primes_degenerate_case():
     assert primes.p_prime == 41  # smallest prime == 1 (mod 20) above 10
 
 
-def test_find_primes_rejects_invalid_witness():
-    with pytest.raises(ValueError):
-        find_distinguished_primes(SubprogressionWitness(5, 4, 1, 55, 53, 11))
+# each fails exactly one condition; (5, 4, 1, 55, 54, 11) satisfies all four
+_INVALID_WITNESSES = {
+    "refines_input": (5, 3, 1, 55, 54, 11),  # 54 != 3 (mod 5)
+    "minus_b_is_square": (5, 4, 1, 55, 49, 11),  # 49 + 1^2 != 0 (mod 55)
+    "proper_local_gcds": (5, 0, 5, 55, 30, 11),  # gcd(5, 2*5) = 5
+    "large_prime": (5, 4, 1, 55, 54, 5),  # 55 >= 5^2
+}
+
+
+@pytest.mark.parametrize("condition", list(_INVALID_WITNESSES))
+def test_witness_constructor_rejects_each_failed_condition(condition):
+    with pytest.raises(ValueError) as error:
+        SubprogressionWitness(*_INVALID_WITNESSES[condition])
+    assert str(error.value) == f"witness fails conditions: {[condition]}"
 
 
 # ---------------------------
