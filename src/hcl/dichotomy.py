@@ -92,12 +92,13 @@ class HeckeWitness:
     f_p: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DichotomyReport:
     """classify's verdict with what it rests on.  evidence holds the rows of
     enumerate_representations as a lazy read-only sequence over columns: its
     len() is the row count, and rows are built only when indexed, sliced or
-    iterated."""
+    iterated.  h_values is one int64 array of shape (k, 2).  A report holds
+    arrays, so two reports are not compared by value."""
 
     ell: int
     a: int
@@ -107,7 +108,7 @@ class DichotomyReport:
     witness: HeckeWitness | None
     assumption_check: AssumptionReport
     evidence: Sequence[RepresentationRow]
-    h_values: list[tuple[int, int]]  # (D, h(-D) mod ell) over fundamental rows D > 4
+    h_values: np.ndarray  # int64 rows (D, h(-D) mod ell) over fundamental rows D > 4, in row order
     prime_power_congruence: tuple[int, int, bool] | None  # (a_p, b mod a_p, verified)
 
 
@@ -144,11 +145,6 @@ class _Representations(Sequence):
             return self._rows(i)
         i = range(len(self))[i]
         return self._rows(slice(i, i + 1))[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _Representations)):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
     def _rows(self, sel: slice) -> list[RepresentationRow]:
         local = {
@@ -254,7 +250,7 @@ def classify(
     # every row n has 0 < 12H(n) == 0 (mod ell), so ell <= max 12H < 2^20: the product
     # wraps in int32 but not in int64
     residues = table.values[fundamental].astype(np.int64) * pow(12, -1, ell) % ell
-    h_values = list(zip(fundamental.tolist(), residues.tolist()))
+    h_values = np.column_stack((fundamental, residues))
     case, witness, prime_power = DichotomyCase.INCONCLUSIVE, None, None
     if residues.size and not residues.any():
         case = DichotomyCase.FUNDAMENTAL_DIVISIBILITY
@@ -328,7 +324,7 @@ def report_to_json(report: DichotomyReport, max_rows: int | None = 20) -> str:
             }
             for row in rows
         ],
-        "h_values_nonzero": sum(1 for _, r in report.h_values if r != 0),
+        "h_values_nonzero": int(np.count_nonzero(report.h_values[:, 1])),
         "h_values_total": len(report.h_values),
     }
     return json.dumps(payload)

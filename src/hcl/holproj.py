@@ -275,13 +275,14 @@ class SubprogressionWitness:
 
 
 def subprogression_conditions(w: SubprogressionWitness) -> dict[str, bool]:
-    """The four defining conditions of a witness, which its constructor checks."""
-    divides = w.a % w.a_tilde == 0 and (w.b - w.b_tilde) % w.a_tilde == 0
-    square = (w.b + w.beta * w.beta) % w.a == 0
-    proper = all(gcd(p**e, 2 * w.beta) != p**e for p, e in factorize(w.a))
+    """The four defining conditions of a witness, which its constructor checks.
+    A modulus a_tilde, a or p_big below 1 fails its conditions; none raises."""
+    divides = w.a_tilde > 0 and w.a % w.a_tilde == 0 and (w.b - w.b_tilde) % w.a_tilde == 0
+    square = w.a > 0 and (w.b + w.beta * w.beta) % w.a == 0
+    proper = w.a > 0 and all(gcd(p**e, 2 * w.beta) != p**e for p, e in factorize(w.a))
     large = (
-        w.a % w.p_big == 0
-        and is_prime(w.p_big)
+        is_prime(w.p_big)
+        and w.a % w.p_big == 0
         and w.a < w.p_big**2
         and 0 <= 2 * w.beta < w.p_big
     )

@@ -57,10 +57,7 @@ def hurwitz(D: int) -> int:
         return 0
     total = 0
     for b in range(D % 2, isqrt(D // 3) + 1, 2):
-        m4 = b * b + D
-        if m4 % 4:
-            continue
-        m = m4 // 4
+        m = (b * b + D) // 4  # b == D (mod 2) and D == 0, 3 (mod 4), so 4 | b^2 + D
         for a in range(max(b, 1), isqrt(m) + 1):
             if m % a:
                 continue

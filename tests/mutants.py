@@ -42,6 +42,7 @@ class Mutant:
 
 
 _FORKED = "tests/test_hurwitz.py::test_forked_build_"
+_LANES = "tests/test_hurwitz.py::test_row_lanes_flush_before_they_pass_the_bound"
 
 MUTANTS = (
     Mutant(
@@ -94,6 +95,157 @@ MUTANTS = (
         (
             _FORKED + "raises_when_the_child_raises[before sending]",
             _FORKED + "raises_when_the_child_raises[after sending]",
+        ),
+    ),
+    Mutant(
+        "h values multiplied in the table's int32",
+        "src/hcl/dichotomy.py",
+        "table.values[fundamental].astype(np.int64) * pow(12, -1, ell)",
+        "table.values[fundamental] * pow(12, -1, ell)",
+        ("tests/test_dichotomy.py::test_classify_h_values_do_not_wrap_on_int32_tables",),
+    ),
+    Mutant(
+        "nonzero h values counted on the D column",
+        "src/hcl/dichotomy.py",
+        "np.count_nonzero(report.h_values[:, 1])",
+        "np.count_nonzero(report.h_values[:, 0])",
+        ("tests/test_dichotomy.py::test_report_json_counts_h_values",),
+    ),
+    Mutant(
+        "hurwitz enumerates D == 2 (mod 4)",
+        "src/hcl/hurwitz.py",
+        "    if D % 4 in (1, 2):\n        return 0\n",
+        "    if D % 4 == 1:\n        return 0\n",
+        ("tests/test_hurwitz.py::test_hurwitz_zero_pattern",),
+    ),
+    Mutant(
+        "no mid-window flush",
+        "src/hcl/hurwitz.py",
+        "                    _flush(values, lanes, w_lo)\n                    bound = 0\n",
+        "                    bound = 0\n",
+        (_LANES,),
+    ),
+    Mutant(
+        "no bound check: the running bound never grows",
+        "src/hcl/hurwitz.py",
+        "                bound += top\n",
+        "",
+        (_LANES,),
+    ),
+    Mutant(
+        "bound checked before the row is counted",
+        "src/hcl/hurwitz.py",
+        "if bound + top > _LANE_BOUND:",
+        "if bound > _LANE_BOUND:",
+        (_LANES,),
+    ),
+    Mutant(
+        "theta sums not doubled in the completed part",
+        "src/hcl/holproj.py",
+        "Fraction(2 * theta + square, 2)",
+        "Fraction(theta + square, 2)",
+        (
+            "tests/test_holproj.py::test_exact_projection_classical_regression",
+            "tests/test_holproj.py::test_exact_projection_decomposes",
+            "tests/test_holproj.py::test_exact_projection_matches_qseries_composition",
+            "tests/test_holproj.py::test_exact_projection_completed_part_matches_the_root_route",
+        ),
+    ),
+    Mutant(
+        "classify indexes the columns of an empty evidence",
+        "src/hcl/dichotomy.py",
+        "rows.local.items() if rows else ()",
+        "rows.local.items()",
+        ("tests/test_dichotomy.py::test_classify_matches_row_oracle",),
+    ),
+    Mutant(
+        "fundamental divisibility and inconclusive swapped",
+        "src/hcl/dichotomy.py",
+        "DichotomyCase.INCONCLUSIVE, None, None\n"
+        "    if residues.size and not residues.any():\n"
+        "        case = DichotomyCase.FUNDAMENTAL_DIVISIBILITY\n",
+        "DichotomyCase.FUNDAMENTAL_DIVISIBILITY, None, None\n"
+        "    if residues.size and not residues.any():\n"
+        "        case = DichotomyCase.INCONCLUSIVE\n",
+        ("tests/test_dichotomy.py::test_classify_matches_row_oracle",),
+    ),
+    Mutant(
+        "non-constant local data not raised",
+        "src/hcl/dichotomy.py",
+        "            raise ArithmeticError(\n",
+        "            ArithmeticError(\n",
+        ("tests/test_dichotomy.py::test_classify_rejects_non_constant_local_data",),
+    ),
+    Mutant(
+        "table claims one D past its values",
+        "src/hcl/hurwitz.py",
+        "        return self.values.size - 1\n",
+        "        return self.values.size\n",
+        ("tests/test_congruence.py::test_verify_requires_table_coverage",),
+    ),
+    Mutant(
+        "table claims one D short of its values",
+        "src/hcl/hurwitz.py",
+        "        return self.values.size - 1\n",
+        "        return self.values.size - 2\n",
+        ("tests/test_acceptance.py::test_01_known_congruences_reproduce",),
+    ),
+    Mutant(
+        "square-class base verdict read from the last u",
+        "src/hcl/cli.py",
+        "if failures and failures[0][0] == 1:",
+        "if failures and failures[-1][0] == 1:",
+        ("tests/test_cli.py::test_square_class_failures",),
+    ),
+    Mutant(
+        "Kronecker symbols indexed by D, not -D",
+        "src/hcl/dichotomy.py",
+        "np.unique(-D % period, return_inverse=True)",
+        "np.unique(D % period, return_inverse=True)",
+        (
+            "tests/test_acceptance.py::test_05_dichotomy_classification",
+            "tests/test_dichotomy.py::test_enumerate_matches_row_oracle",
+        ),
+    ),
+    Mutant(
+        "12H(0) read as 0",
+        "src/hcl/hurwitz.py",
+        "    if D == 0:\n        return -1\n",
+        "    if D == 0:\n        return 0\n",
+        (
+            "tests/test_hurwitz.py::test_hurwitz_examples",
+            "tests/test_acceptance.py::test_09_enumeration_oracle_agreement",
+        ),
+    ),
+    Mutant(
+        "eisenstein_hol reads one value short",
+        "src/hcl/qseries.py",
+        "table.values[: top + 1].tolist()",
+        "table.values[:top].tolist()",
+        (
+            "tests/test_qseries.py::test_eisenstein_examples",
+            "tests/test_holproj.py::test_exact_projection_matches_qseries_composition",
+        ),
+    ),
+    Mutant(
+        "square classes keyed by b*u, not b*u^2",
+        "src/hcl/congruence.py",
+        "residues = {u: b * u * u % a for",
+        "residues = {u: b * u % a for",
+        (
+            "tests/test_congruence.py::test_square_class_check_passes_on_known",
+            "tests/test_congruence.py::test_square_class_verifies_each_residue_once",
+            "tests/test_acceptance.py::test_03_square_class_property",
+        ),
+    ),
+    Mutant(
+        "class number formula drops the Kronecker term",
+        "src/hcl/hurwitz.py",
+        "hecke_factor(p**e, kronecker(-D, p), p)",
+        "hecke_factor(p**e, 0, p)",
+        (
+            "tests/test_hurwitz.py::test_formula_examples",
+            "tests/test_acceptance.py::test_06_class_number_formula",
         ),
     ),
 )

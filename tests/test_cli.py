@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 
+from hcl import holproj
 from hcl.cli import main
-from hcl.hurwitz import MAX_N_MAX, build_table, write_table_csv
+from hcl.hurwitz import MAX_N_MAX, build_table, read_table_csv, write_table_csv
 
 
 @pytest.fixture()
@@ -78,6 +79,59 @@ def test_verify_json_format(table_file, capsys):
     payload = json.loads(out)
     assert payload["ok"] is False and payload["counterexample"] == 3
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("verify", "--ell", "5", "--a", "27", "--b", "9", "--format", "csv"), 0,
+     "ell,a,b,n_max,ok,counterexample\n5,27,9,3000,1,\n"),
+    (("verify", "--ell", "5", "--a", "4", "--b", "3", "--format", "csv"), 1,
+     "ell,a,b,n_max,ok,counterexample\n5,4,3,3000,0,3\n"),
+    (("search", "--ell", "5", "--a-max", "30", "--format", "text"), 0,
+     "H(27n+9) == 0 (mod 5)  [holomorphic, checked to 3000]\n1 maximal progression(s) found\n"),
+    (("search", "--ell", "7", "--a-max", "30", "--format", "text"), 0, "0 maximal progression(s) found\n"),
+    (("holproj", "--a", "55", "--b", "54", "--beta", "1", "--n", "20", "--projection"), 0,
+     '{"a": 55, "b": 54, "beta": 1, "n": 20, "nonholomorphic_coefficient": "-2", '
+     '"q_subsets": {"{}": 2, "{5}": 0, "{5,11}": 2, "{11}": 0}, "exact_projection": "10/1"}\n'),
+], ids=["verify-csv-ok", "verify-csv-fails", "search-text", "search-text-none", "holproj-projection"])
+def test_output_formats_on_a_cache_hit(table_file, capsys, argv, code, out):
+    assert run(capsys, *argv, "--table", table_file, "--n-max", "3000") == (code, out, "")
+
+
+@pytest.mark.parametrize("a, b, beta, n", [(55, 54, 1, 20), (12, 8, 2, 5), (55, 54, 1, 167)])
+def test_holproj_projection_is_the_library_value(table_file, capsys, a, b, beta, n):
+    argv = ("holproj", "--a", str(a), "--b", str(b), "--beta", str(beta), "--n", str(n), "--projection")
+    code, out, _ = run(capsys, *argv, "--table", table_file, "--n-max", "3000")
+    want = holproj.exact_projection_coefficient(a, b, beta, n, build_table(max(3000, a * n)))
+    assert code == 0 and json.loads(out)["exact_projection"] == f"{want.numerator}/{want.denominator}"
+
+
+@pytest.mark.parametrize("argv, n_max, out", [
+    (("verify", "--ell", "5", "--a", "27", "--b", "9", "--n-max", "4000"), 4000,
+     "H(27n+9) == 0 (mod 5) verified for values <= 4000\n"),
+    # the projection needs D up to a * n = 9185, past --n-max
+    (("holproj", "--a", "55", "--b", "54", "--beta", "1", "--n", "167", "--projection", "--n-max", "3000"), 9185,
+     '{"a": 55, "b": 54, "beta": 1, "n": 167, "nonholomorphic_coefficient": "-55", '
+     '"q_subsets": {"{}": 55, "{5}": 0, "{5,11}": 55, "{11}": 0}, "exact_projection": "41/1"}\n'),
+], ids=["verify", "holproj-projection"])
+def test_short_cache_is_rebuilt_and_persisted(table_file, capsys, argv, n_max, out):
+    got = run(capsys, *argv, "--table", table_file)
+    assert got == (0, out, f"warning: cache {table_file} covers 3000 < {n_max}; rebuilding\n")
+    assert read_table_csv(table_file).n_max == n_max
+
+
+def test_unpersistable_cache_warns_and_answers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))  # the temporary file's name
+    path = tmp_path / "missing" / "table.csv"
+    code, out, err = run(
+        capsys, "verify", "--ell", "5", "--a", "27", "--b", "9", "--table", str(path), "--n-max", "2000",
+    )
+    assert (code, out) == (0, "H(27n+9) == 0 (mod 5) verified for values <= 2000\n")
+    assert err == (
+        f"warning: no table cache at {path}; building to 2000\n"
+        "warning: could not persist table cache: [Errno 2] No such file or directory: "
+        f"'{path.parent / '.table.csv.00000000.tmp'}'\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_full_scale_autobuild(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_evidence_is_a_lazy_read_only_sequence():
     for sel in (slice(None), slice(3, 17), slice(1, None, 7), slice(None, None, -3), slice(-5, 200, 2), slice(50, 10)):
         assert as_tuples(rows[sel]) == oracle[sel], sel
     assert as_tuples(rows) == oracle  # iteration
-    assert list(rows) == rows == enumerate_representations(27, 9, 3000, 5)
+    assert list(rows) == list(enumerate_representations(27, 9, 3000, 5))
     for i in (size, -size - 1):
         with pytest.raises(IndexError):
             oracle[i]
@@ -219,18 +219,23 @@ def verified_progressions(table, count=40, seed=11):
     return out
 
 
-def test_classify_matches_row_oracle(table_1m):
+def oracle_cases(table):
+    """The six congruences, a progression with no rows, then seed-drawn ones."""
     cases = [(ell, a, b, 2 * 10**5) for ell, a, b in EXPECTED_WITNESSES]
-    cases += [(7, 24, 17, 297)] + verified_progressions(table_1m)  # the first has no rows
+    return cases + [(7, 24, 17, 297)] + verified_progressions(table)
+
+
+def test_classify_matches_row_oracle(table_1m):
     verdicts = set()
-    for ell, a, b, n_max in cases:
+    for ell, a, b, n_max in oracle_cases(table_1m):
         report = classify(ell, a, b, n_max, table_1m)
         rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
         case, witness, h_values = oracles.classify_rows_reference(rows, table_1m.values, ell)
         w = report.witness
         assert report.case.value == case, (ell, a, b, n_max)
         assert (None if w is None else (w.p, w.kronecker, w.f_p)) == witness, (ell, a, b, n_max)
-        assert report.h_values == h_values, (ell, a, b, n_max)
+        assert report.h_values.dtype == np.int64 and report.h_values.shape == (len(h_values), 2)
+        assert list(map(tuple, report.h_values.tolist())) == h_values, (ell, a, b, n_max)
         verdicts.add((case, bool(rows)))
     assert verdicts == {
         ("hecke_condition", True),
@@ -249,7 +254,7 @@ def test_classify_h_values_do_not_wrap_on_int32_tables():
     report = classify(ell, a, b, n_max, HurwitzTable(values))
     rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
     case, witness, h_values = oracles.classify_rows_reference(rows, values, ell)
-    assert report.case.value == case and report.h_values == h_values
+    assert report.case.value == case and list(map(tuple, report.h_values.tolist())) == h_values
     assert {D % a == b for D, _ in h_values} == {True, False}
 
 
@@ -337,6 +342,21 @@ def test_report_json_stable(table_1m):
     ]
     assert len(payload["rows"]) == 3
     assert payload["case"] == "hecke_condition"
+
+
+def test_report_json_counts_h_values(table_1m):
+    verdicts = set()
+    for ell, a, b, n_max in oracle_cases(table_1m):
+        rows = oracles.enumerate_representations_reference(a, b, n_max, ell)
+        case, _, h_values = oracles.classify_rows_reference(rows, table_1m.values, ell)
+        report = classify(ell, a, b, n_max, table_1m)
+        want = (sum(r != 0 for _, r in h_values), len(h_values))
+        for max_rows in (None, 0, 20):
+            payload = json.loads(report_to_json(report, max_rows=max_rows))
+            assert (payload["h_values_nonzero"], payload["h_values_total"]) == want, (ell, a, b, n_max)
+        verdicts.add((case, want[0] < want[1]))
+    # there every h value is 0 (mod ell), so a count of the D column reads want[1], not 0
+    assert ("fundamental_divisibility", True) in verdicts
 
 
 def test_report_json_rejects_negative_max_rows(table_1m):

@@ -325,20 +325,25 @@ def test_find_primes_degenerate_case():
     assert primes.p_prime == 41  # smallest prime == 1 (mod 20) above 10
 
 
-# each fails exactly one condition; (5, 4, 1, 55, 54, 11) satisfies all four
+# (5, 4, 1, 55, 54, 11) satisfies all four conditions; each entry changes it to
+# fail the conditions listed, and a zero modulus fails the conditions it belongs to
 _INVALID_WITNESSES = {
-    "refines_input": (5, 3, 1, 55, 54, 11),  # 54 != 3 (mod 5)
-    "minus_b_is_square": (5, 4, 1, 55, 49, 11),  # 49 + 1^2 != 0 (mod 55)
-    "proper_local_gcds": (5, 0, 5, 55, 30, 11),  # gcd(5, 2*5) = 5
-    "large_prime": (5, 4, 1, 55, 54, 5),  # 55 >= 5^2
+    "refines_input": ((5, 3, 1, 55, 54, 11), ["refines_input"]),  # 54 != 3 (mod 5)
+    "minus_b_is_square": ((5, 4, 1, 55, 49, 11), ["minus_b_is_square"]),  # 49 + 1^2 != 0 (mod 55)
+    "proper_local_gcds": ((5, 0, 5, 55, 30, 11), ["proper_local_gcds"]),  # gcd(5, 2*5) = 5
+    "large_prime": ((5, 4, 1, 55, 54, 5), ["large_prime"]),  # 55 >= 5^2
+    "a_tilde_zero": ((0, 4, 1, 55, 54, 11), ["refines_input"]),
+    "a_zero": ((5, 4, 1, 0, 54, 11), ["minus_b_is_square", "proper_local_gcds"]),
+    "p_big_zero": ((5, 4, 1, 55, 54, 0), ["large_prime"]),
 }
 
 
 @pytest.mark.parametrize("condition", list(_INVALID_WITNESSES))
 def test_witness_constructor_rejects_each_failed_condition(condition):
+    fields, failed = _INVALID_WITNESSES[condition]
     with pytest.raises(ValueError) as error:
-        SubprogressionWitness(*_INVALID_WITNESSES[condition])
-    assert str(error.value) == f"witness fails conditions: {[condition]}"
+        SubprogressionWitness(*fields)
+    assert str(error.value) == f"witness fails conditions: {failed}"
 
 
 # ---------------------------
