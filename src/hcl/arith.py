@@ -1,11 +1,9 @@
 """Elementary exact number-theoretic primitives shared by the other modules.
 
 Everything here is a pure function of its arguments, returning ints, lists or
-tuples.  The only state is two bounded `functools.lru_cache`s, whose entries
-are immutable tuples:
-- one entry on `sieve_primes`, the primes up to 10^6, built on first use;
-- 256 entries on `divisors`.
-A racing thread at worst computes an entry twice with the same content, so
+tuples.  The only state is one bounded `functools.lru_cache` entry on
+`sieve_primes`, the primes up to 10^6 as an immutable tuple, built on first
+use.  A racing thread at worst computes it twice with the same content, so
 the module is safe for concurrent use.
 """
 
@@ -126,17 +124,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=256)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending.
-
-    The tuple is shared by every caller asking for the same n, so it is
-    immutable.  The holomorphic-projection closed forms share one walk per
-    (a, beta mod a, a*n), and a sweep over the residues beta at fixed a
-    revisits each a*n once per beta.  256 entries hold one a's a*n for up to
-    256 values of n: 75,935 of the 81,079 calls in the `holproj` benchmark
-    sweep hit.
-    """
+    """All positive divisors of n, ascending."""
     divs = [1]
     for p, e in factorize(n):
         power = divs

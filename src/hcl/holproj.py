@@ -18,13 +18,15 @@ cache keeps them across the calls for successive n.
 straight from the table, which equals the product of the sieved `qseries`
 Eisenstein and theta series (`test_exact_projection_matches_qseries_composition`).
 
-All three forms read one walk over the factorizations a*n = e*f, e < f
-(`_divisor_pairs`), which sums them by residue class mod a: the pair sums of
-the factorization form keyed by beta_tilde, and the theta sums S keyed by
-mt mod a, so that proj_theta_product at beta_tilde is its square term plus
-S[beta_tilde] + S[-beta_tilde].  Callers ask for every form and every root
-at the same (a, beta, a*n), so a bounded cache holds the walk and each
-(a, beta mod a, a*n) is walked once.
+The three sweep forms read one walk over the factorizations a*n = e*f,
+e < f (`_divisor_walk`), which sums them by residue class mod a for every
+beta mod a at once: the pair sums of the factorization form keyed by
+(beta, beta_tilde), and the theta sums S keyed by (beta, mt mod a), so that
+proj_theta_product at beta_tilde is its square term plus S[beta_tilde] +
+S[-beta_tilde].  A sweep asks for every form, every root and every beta at
+the same a*n, so a bounded cache holds the walk and each (a, a*n) is walked
+once.  `exact_projection_coefficient` needs one beta at one a*n, once, and
+sums its theta total in its own pass over the same pairs (`_theta_total`).
 
 All values are exact integers or rationals.
 """
@@ -79,8 +81,8 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
     Solutions (m, mt) come from factorizations a*n = e*f, e < f, e == f
     (mod 2): m = +-(e+f)/2, mt = +-(f-e)/2, all four sign choices, filtered by
     the congruences, and each admissible one adds e.  The walk over them is
-    shared (_divisor_pairs): its theta sums S, keyed by mt mod a, give the
-    second sum as S[beta_tilde] + S[-beta_tilde].
+    shared (_divisor_walk): its theta sums S at beta, keyed by mt mod a, give
+    the second sum as S[beta_tilde] + S[-beta_tilde].
     """
     _check_a_n(a, n, 0)
     an = a * n
@@ -93,53 +95,86 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
                     total += r
     # m^2 - mt^2 is never == 2 (mod 4)
     if an > 0 and an % 4 != 2:
-        sums = _divisor_pairs(a, beta % a, an)[1]
-        total += sums.get(beta_tilde % a, 0) + sums.get(-beta_tilde % a, 0)
+        sums = _divisor_walk(a, an)
+        base = (a + beta % a) * a
+        total += sums.get(base + beta_tilde % a, 0) + sums.get(base + -beta_tilde % a, 0)
     return -4 * total
 
 
-@lru_cache(maxsize=16, typed=True)
-def _divisor_pairs(
-    a: int, beta: int, an: int
-) -> tuple[MappingProxyType[int, int], MappingProxyType[int, int]]:
-    """One walk over a*n = e*f with e < f, beta normalised mod a, returning
-    (pair sums, theta sums), read-only as every caller shares them.
+@lru_cache(maxsize=256, typed=True)
+def _divisor_walk(a: int, an: int) -> MappingProxyType[int, int]:
+    """One walk over a*n = e*f with e < f that sums the closed forms at every
+    beta mod a, in one flat map, read-only as every caller shares it.  With
+    beta and the residues bt, mt normalised mod a, its keys are
 
-    Pair sums: when e + f == 2*beta (mod a), e is added under both keys
-    (e - beta) mod a and (f - beta) mod a, as the ordered pairs (d1, d2) =
-    (e, f) and (f, e) of the factorization form.  Then d2 == beta - beta_tilde,
-    and beta^2 - beta_tilde^2 == d1*d2 == 0 (mod a) makes each key
-    beta_tilde a square root of -b without solving for it.  Roots without a
-    pair are absent.
+        beta*a + bt          the pair sum of the root bt at beta
+        (a + beta)*a + mt    the theta sum of the key mt at beta
+        2*a*a + beta         the total of the pair sums at beta
+
+    and an absent key sums to 0.
+
+    Pair sums: the pair counts at each beta with 2*beta == e + f (mod a).
+    That is beta == (e + f) * 2^-1 for odd a; for even a it is (e + f)/2 and
+    (e + f)/2 + a/2 when e + f is even, and none when it is odd.  There e is
+    added under both roots (e - beta) mod a and (f - beta) mod a, as the
+    ordered pairs (d1, d2) = (e, f) and (f, e) of the factorization form.
+    Then d2 == beta - bt, and beta^2 - bt^2 == d1*d2 == 0 (mod a) makes each
+    key bt a square root of -b without solving for it.
 
     Theta sums: when e == f (mod 2), m0 = (e + f)/2 and mt0 = (f - e)/2, and
-    e times the number of signs with +-m0 == beta (mod a) is added under the
-    key mt0 mod a.  proj_theta_product reads the keys +-beta_tilde, which
-    counts the signs of mt.
+    e is added under the key mt0 mod a at beta == m0 and at beta == -m0, so
+    2e when m0 == -m0 (mod a): e times the number of signs with +-m0 == beta.
+    proj_theta_product reads the keys +-bt, which counts the signs of mt.
 
-    A caller asks for every form and every root at one (a, beta, a*n): in the
-    `holproj` benchmark sweep each of the 81,079 tuples is walked once, and
-    the CLI's `holproj --projection` walks once.  16 entries leave room for
-    callers that interleave a few.  typed=True, as in _subset_labels, so an
-    entry walked for a float beta (whose keys are floats) serves no int one.
+    The `holproj` benchmark sweep runs a, then beta, then n <= 200, so the
+    walk is reused across beta only while the cache holds one a's 200 values
+    of a*n: at 256 entries each of the 5,621 (a, a*n) of its 81,079 tuples is
+    walked once.  typed=True keeps an entry walked for an int a*n from
+    answering a float one, which divisors rejects.
     """
-    pair_sums: dict[int, int] = {}
-    theta_sums: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    inv2 = (a + 1) // 2  # 2^-1 mod an odd a
+    theta_base, total_base = a * a, 2 * a * a  # the key offsets above
     for e in divisors(an):
         f = an // e
         if e >= f:  # e == f gives mt = 0 and d1 = d2; the pairs past it repeat
             break
-        if (e + f - 2 * beta) % a == 0:
-            for bt in ((e - beta) % a, (f - beta) % a):
-                pair_sums[bt] = pair_sums.get(bt, 0) + e
-        if (e - f) % 2 == 0:
-            m0, mt0 = (e + f) // 2, (f - e) // 2
+        s = e + f
+        if a % 2:
+            betas = (s * inv2 % a,)
+        elif s % 2:
+            betas = ()
+        else:
+            betas = (s // 2 % a, (s // 2 + a // 2) % a)
+        for beta in betas:
+            for key in (beta * a + (e - beta) % a, beta * a + (f - beta) % a):
+                sums[key] = sums.get(key, 0) + e
+            sums[total_base + beta] = sums.get(total_base + beta, 0) + 2 * e
+        if s % 2 == 0:
+            m0, mt = s // 2 % a, (f - e) // 2 % a
             # each admissible sign pair contributes an / (|m| + |mt|) = e
-            m_signs = ((m0 - beta) % a == 0) + ((m0 + beta) % a == 0)
-            if m_signs:
-                key = mt0 % a
-                theta_sums[key] = theta_sums.get(key, 0) + e * m_signs
-    return MappingProxyType(pair_sums), MappingProxyType(theta_sums)
+            for beta in (m0, -m0 % a):
+                key = theta_base + beta * a + mt
+                sums[key] = sums.get(key, 0) + e
+    return MappingProxyType(sums)
+
+
+def _theta_total(a: int, beta: int, an: int) -> int:
+    """The walk's theta sums at one beta, totalled over their keys, by a pass
+    of its own: e * ([m0 == beta] + [m0 == -beta]) (mod a), m0 = (e + f)/2,
+    summed over a*n = e*f, e < f, e == f (mod 2).
+
+    exact_projection_coefficient needs it at one (beta, a*n), once, where the
+    walk over every beta costs about 2.5 of these passes."""
+    total = 0
+    for e in divisors(an):
+        f = an // e
+        if e >= f:
+            break
+        if (e - f) % 2 == 0:
+            m0 = (e + f) // 2
+            total += e * (((m0 - beta) % a == 0) + ((m0 + beta) % a == 0))
+    return total
 
 
 def _check_factorization_args(a: int, b: int, beta: int, n: int) -> int:
@@ -170,12 +205,12 @@ def nonhol_coefficient(a: int, b: int, beta: int, n: int) -> int:
     test_routes_differ_in_general and acceptance item A7.
 
     The shared divisor walk finds each beta_tilde from its pairs, so no
-    square root of -b is solved: the total is the sum of its pair sums (see
-    _divisor_pairs), read from the same cached walk as proj_theta_product
-    and q_subset_decomposition at this (a, beta, a*n).
+    square root of -b is solved: the total is the sum of its pair sums at
+    beta (see _divisor_walk), read from the same cached walk as
+    proj_theta_product and q_subset_decomposition at this (a, a*n).
     """
     an = _check_factorization_args(a, b, beta, n)
-    total = sum(_divisor_pairs(a, beta % a, an)[0].values())
+    total = _divisor_walk(a, an).get(2 * a * a + beta % a, 0)
     if total % 2:
         raise ArithmeticError("factorization sum must be even")
     return -(total // 2)
@@ -242,15 +277,15 @@ def q_subset_decomposition(a: int, b: int, beta: int, n: int) -> QSubsetDecompos
     The roots, their subset labels and the verdict that the decomposition is
     undefined depend only on (a, b, beta) and are memoized (_subset_labels);
     each call checks its arguments first, then reads each subset's sum at its
-    root from the pair sums of the shared divisor walk (_divisor_pairs), the
-    same entry nonhol_coefficient reads.
+    root from the pair sums at beta of the shared divisor walk
+    (_divisor_walk), the same entry nonhol_coefficient reads.
     """
     an = _check_factorization_args(a, b, beta, n)
     labels = _subset_labels(a, b, beta)
     if isinstance(labels, str):
         raise ValueError(labels)
-    sums = _divisor_pairs(a, beta % a, an)[0]
-    contributions = {q: sums.get(bt, 0) for bt, q in labels}
+    sums, base = _divisor_walk(a, an), beta % a * a
+    contributions = {q: sums.get(base + bt, 0) for bt, q in labels}
     return QSubsetDecomposition(a, b, beta, n, contributions)
 
 
@@ -366,10 +401,11 @@ def exact_projection_coefficient(
     as test_exact_projection_matches_qseries_composition checks.
 
     The completed part needs no square roots: every key mt0 of the theta sums
-    S of the shared walk is a root (mt0^2 == m0^2 == beta^2 (mod a)), and the
-    roots pair up as +-beta_tilde, so it is -sum S minus half the sum of |m|
-    over m = +-sqrt(a*n) with m == beta (mod a), the square term of the root
-    0 (such an m makes -b == beta^2 == a*n == 0 (mod a)).
+    S at beta is a root (mt0^2 == m0^2 == beta^2 (mod a)), and the roots pair
+    up as +-beta_tilde, so it is -sum S minus half the sum of |m| over
+    m = +-sqrt(a*n) with m == beta (mod a), the square term of the root 0
+    (such an m makes -b == beta^2 == a*n == 0 (mod a)).  sum S comes from
+    the one-beta pass _theta_total, not from the walk over every beta.
     """
     _check_a_n(a, n, 0)
     _check_root(a, b, beta)
@@ -382,7 +418,7 @@ def exact_projection_coefficient(
         hol += int(table.values[an - k * k].sum(dtype=np.int64))
     theta, square = 0, 0
     if an > 0 and an % 4 != 2:  # m^2 - mt^2 is never == 2 (mod 4)
-        theta = sum(_divisor_pairs(a, beta % a, an)[1].values())
+        theta = _theta_total(a, beta, an)
     if r * r == an:
         square = r * (((r - beta) % a == 0) + ((r + beta) % a == 0))
     return Fraction(hol, 12) - Fraction(2 * theta + square, 2)

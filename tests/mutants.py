@@ -152,6 +152,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "even a keeps only one of the two beta of a pair",
+        "src/hcl/holproj.py",
+        "betas = (s // 2 % a, (s // 2 + a // 2) % a)",
+        "betas = (s // 2 % a,)",
+        (
+            "tests/test_holproj.py::test_pair_walk_matches_per_root_sums",
+            "tests/test_holproj.py::test_shared_walk_matches_the_per_call_walks",
+        ),
+    ),
+    Mutant(
+        "theta weight e, not 2e, when m0 == -m0",
+        "src/hcl/holproj.py",
+        "for beta in (m0, -m0 % a):",
+        "for beta in {m0, -m0 % a}:",
+        (
+            "tests/test_holproj.py::test_proj_theta_product_examples",
+            "tests/test_holproj.py::test_pair_walk_matches_per_root_sums",
+            "tests/test_holproj.py::test_shared_walk_matches_the_per_call_walks",
+            "tests/test_holproj.py::test_projection_theta_pass_matches_the_walk",
+        ),
+    ),
+    Mutant(
+        "projection's theta pass drops the -beta term",
+        "src/hcl/holproj.py",
+        "total += e * (((m0 - beta) % a == 0) + ((m0 + beta) % a == 0))",
+        "total += e * ((m0 - beta) % a == 0)",
+        (
+            "tests/test_holproj.py::test_projection_theta_pass_matches_the_walk",
+            "tests/test_holproj.py::test_exact_projection_matches_qseries_composition",
+            "tests/test_holproj.py::test_exact_projection_completed_part_matches_the_root_route",
+        ),
+    ),
+    Mutant(
+        "pair total at beta counts one root of each pair",
+        "src/hcl/holproj.py",
+        "sums[total_base + beta] = sums.get(total_base + beta, 0) + 2 * e",
+        "sums[total_base + beta] = sums.get(total_base + beta, 0) + e",
+        (
+            "tests/test_holproj.py::test_nonhol_examples",
+            "tests/test_holproj.py::test_pair_walk_matches_per_root_sums",
+            "tests/test_holproj.py::test_shared_walk_matches_the_per_call_walks",
+        ),
+    ),
+    Mutant(
         "classify indexes the columns of an empty evidence",
         "src/hcl/dichotomy.py",
         "rows.local.items() if rows else ()",

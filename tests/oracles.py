@@ -229,6 +229,33 @@ def pair_sums_by_root_walk(a: int, beta: int, an: int) -> dict[int, int]:
     return sums
 
 
+def divisor_pairs_per_beta(a: int, beta: int, an: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(pair sums, theta sums) at one beta in [0, a) by one walk over
+    a*n = e*f, e < f: the per-beta walk that the walk over every beta
+    replaced.
+
+    Pair sums: when e + f == 2*beta (mod a), e is added under both keys
+    (e - beta) mod a and (f - beta) mod a.  Theta sums: when e == f (mod 2),
+    m0 = (e + f)/2 and mt0 = (f - e)/2, and e times the number of signs with
+    +-m0 == beta (mod a) is added under the key mt0 mod a."""
+    pair_sums: dict[int, int] = {}
+    theta_sums: dict[int, int] = {}
+    for e in divisors_brute(an):
+        f = an // e
+        if e >= f:
+            break
+        if (e + f - 2 * beta) % a == 0:
+            for bt in ((e - beta) % a, (f - beta) % a):
+                pair_sums[bt] = pair_sums.get(bt, 0) + e
+        if (e - f) % 2 == 0:
+            m0, mt0 = (e + f) // 2, (f - e) // 2
+            m_signs = ((m0 - beta) % a == 0) + ((m0 + beta) % a == 0)
+            if m_signs:
+                key = mt0 % a
+                theta_sums[key] = theta_sums.get(key, 0) + e * m_signs
+    return pair_sums, theta_sums
+
+
 def factor_pair_sums_brute(a: int, b: int, beta: int, n: int) -> dict[int, int]:
     """The inner sums of the factorization form, one per square root bt of -b
     mod a (found by scanning 0 <= bt < a), by naive divisor scan of a*n.

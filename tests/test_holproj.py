@@ -88,25 +88,56 @@ def test_nonhol_matches_divisor_scan():
         checked += 1
 
 
+def _walk_at(a, beta, an):
+    """(pair sums, theta sums, pair total) at one beta in [0, a), read off the
+    flat walk over every beta by its key layout (see _divisor_walk)."""
+    walk = holproj_module._divisor_walk(a, an)
+    pairs = {bt: walk[beta * a + bt] for bt in range(a) if beta * a + bt in walk}
+    thetas = {mt: walk[(a + beta) * a + mt] for mt in range(a) if (a + beta) * a + mt in walk}
+    return pairs, thetas, walk.get(2 * a * a + beta, 0)
+
+
 def test_pair_walk_matches_per_root_sums():
-    # the walk keys each pair by d1 - beta and never solves bt^2 == -b; squares
-    # a*n (rejected by the public forms) check that d1 = d2 adds nothing
-    for a in range(1, 40):
-        for beta in range(a):
-            b = (-beta * beta) % a
-            for n in (1, 6, a, 9 * a):
+    # one walk per (a, a*n) holds every beta: at each it equals the per-beta
+    # walk it replaced, the per-root scan of the factorization form and the
+    # direct scan of the sign form.  The walk keys each pair by d1 - beta and
+    # never solves bt^2 == -b.  a = 1, 2 and even a at beta = 0, a/2 are in
+    # range; n = 2, 6 make a*n == 2 (mod 4) at odd a, and the squares a*n at
+    # n = a, 9a (rejected by the public forms) check that d1 = d2 adds nothing
+    for a in range(1, 61):
+        for n in (1, 2, 6, 7, a, 9 * a, 167):
+            an = a * n
+            walk = holproj_module._divisor_walk(a, an)
+            keys = set()
+            for beta in range(a):
+                b = (-beta * beta) % a
+                pairs, thetas, total = _walk_at(a, beta, an)
+                keys |= {beta * a + bt for bt in pairs} | {(a + beta) * a + mt for mt in thetas}
+                if total:
+                    keys.add(2 * a * a + beta)
+                where = (a, beta, n)
+                assert (pairs, thetas) == oracles.divisor_pairs_per_beta(a, beta, an), where
                 want = oracles.factor_pair_sums_brute(a, b, beta, n)
-                got = holproj_module._divisor_pairs(a, beta, a * n)[0]
-                assert got == {bt: v for bt, v in want.items() if v}, (a, beta, n)
-    with pytest.raises(TypeError):  # every caller at this (a, beta, a*n) shares it
-        got[0] = 1
+                assert pairs == {bt: v for bt, v in want.items() if v}, where
+                assert total == sum(pairs.values()), where
+                if an > 4000:  # the direct scan costs O(a*n) per root
+                    continue
+                r = isqrt(an)
+                square = r * sum((m - beta) % a == 0 for m in (r, -r)) if r * r == an else 0
+                for bt in oracles.sqrt_mod_brute(-b, a):
+                    theta = -4 * ((bt == 0) * square + thetas.get(bt, 0) + thetas.get(-bt % a, 0))
+                    assert theta == oracles.proj_theta_brute(a, bt, beta, n), (where, bt)
+            assert keys == walk.keys(), (a, n)  # no key outside the layout
+    with pytest.raises(TypeError):  # every caller at this (a, a*n) shares it
+        walk[0] = 1
 
 
 def test_shared_walk_matches_the_per_call_walks():
-    # every closed form reads one cached walk per (a, beta mod a, a*n); each
-    # value equals the per-call walk it replaced and the brute-force scan, at
-    # every root and at unnormalised spellings of beta.  n = 0 leaves only
-    # the sign enumeration, and n = 6, 30 make a*n == 2 (mod 4) at odd a
+    # every closed form reads one cached walk per (a, a*n) for every beta;
+    # each value equals the per-call walk it replaced and the brute-force
+    # scan, at every root and at unnormalised and float spellings of beta.
+    # n = 0 leaves only the sign enumeration, and n = 6, 30 make
+    # a*n == 2 (mod 4) at odd a
     for a in range(1, 40):
         prime_powers = [(p, p**e) for p, e in oracles.factor_brute(a)]
         for n in (0, 1, 2, 6, 7, 30, 167):
@@ -123,7 +154,7 @@ def test_shared_walk_matches_the_per_call_walks():
             for beta in range(a):
                 b = -beta * beta % a
                 roots = oracles.sqrt_mod_brute(-b, a)
-                for s in (beta, beta + a, -beta):
+                for s in (beta, beta + a, -beta, float(beta)):
                     where = (a, b, s, n)
                     for bt in roots:
                         got = proj_theta_product(a, bt, s, n)
@@ -510,6 +541,32 @@ def test_exact_projection_completed_part_matches_the_root_route():
     assert count == 93_465
 
 
+def test_projection_theta_pass_matches_the_walk():
+    # the projection sums its theta total by its own one-beta pass; it must
+    # equal the walk's theta sums at that beta, totalled, on every A7 tuple
+    # (a <= 30, -b == beta^2 != 0 (mod a), n <= 200, a*n not a square) and
+    # at the benchmark's first projection
+    count = 0
+    for a in range(1, 31):
+        for n in range(1, 201):
+            an = a * n
+            if isqrt(an) ** 2 == an:
+                continue
+            totals = dict.fromkeys(range(a), 0)
+            for key, value in holproj_module._divisor_walk(a, an).items():
+                if a * a <= key < 2 * a * a:
+                    totals[key // a - a] += value
+            for beta in range(a):
+                if beta * beta % a:
+                    assert holproj_module._theta_total(a, beta, an) == totals[beta], (a, beta, n)
+                    count += 1
+    assert count == 81_079
+    a, beta, an = 55, 1, 55 * 2000
+    want = sum(_walk_at(a, beta, an)[1].values())
+    assert want > 0
+    assert holproj_module._theta_total(a, beta, an) == want
+
+
 def test_exact_projection_constant_term():
     table = build_table(100)
     value = exact_projection_coefficient(4, 0, 0, 0, table)
@@ -538,16 +595,15 @@ def _outcome(fn, *args):
 
 
 def _clear_caches():
-    divisors.cache_clear()
     holproj_module._subset_labels.cache_clear()
-    holproj_module._divisor_pairs.cache_clear()
+    holproj_module._divisor_walk.cache_clear()
 
 
 def _closed_forms(table, before_each):
     """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n.
     Each form also takes unnormalised spellings of (b, beta): the subset
     split's cache is keyed on the raw arguments, and its messages print them
-    verbatim; the shared divisor walk is keyed on beta mod a, typed."""
+    verbatim; the shared divisor walk is keyed on (a, a*n), typed."""
     out = []
     for a in range(1, 40):
         for beta in range(a):
@@ -580,38 +636,50 @@ def test_divisor_cache_changes_no_closed_form():
     assert warm == cold
     # cold means every cache the closed forms read starts empty
     caches = {v.__qualname__: v for v in vars(holproj_module).values() if hasattr(v, "cache_info")}
-    assert {"divisors", "_subset_labels", "_divisor_pairs"} <= caches.keys()
+    assert {"_subset_labels", "_divisor_walk"} <= caches.keys()
     _clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
 
 
-def test_closed_forms_share_one_divisor_walk_per_an():
+def test_closed_forms_share_one_divisor_walk_per_an(monkeypatch):
     a, n = 55, 167
-    divisors.cache_clear()
+    walked = []
+
+    def counted(an):
+        walked.append(an)
+        return divisors(an)
+
+    monkeypatch.setattr(holproj_module, "divisors", counted)
+    holproj_module._divisor_walk.cache_clear()
     for beta in range(a):
         b = -beta * beta % a
         nonhol_coefficient(a, b, beta, n)
         _outcome(q_subset_decomposition, a, b, beta, n)  # undefined for some beta
         for bt in sqrt_mod(-b, a):
             proj_theta_product(a, bt, beta, n)
-    assert divisors.cache_info().misses == 1
+    assert walked == [a * n]  # one walk serves all 55 residues
 
-    # the CLI's `holproj --projection` call pattern: every form, then the
-    # projection over every root, all from one walk
+    # the CLI's `holproj --projection` call pattern: every form from one
+    # walk, then the projection's own one-beta pass
     table = build_table(a * n)
-    holproj_module._divisor_pairs.cache_clear()
+    holproj_module._divisor_walk.cache_clear()
+    walked.clear()
     nonhol_coefficient(a, 54, 1, n)
     q_subset_decomposition(a, 54, 1, n)
     exact_projection_coefficient(a, 54, 1, n, table)
-    assert holproj_module._divisor_pairs.cache_info().misses == 1
-    # and one walk per beta when the residues are swept in turn
-    holproj_module._divisor_pairs.cache_clear()
+    assert holproj_module._divisor_walk.cache_info().misses == 1
+    assert walked == [a * n, a * n]
+    # and still one walk when the residues are swept in turn, plus one pass
+    # per projection
+    holproj_module._divisor_walk.cache_clear()
+    walked.clear()
     for beta in range(a):
         b = -beta * beta % a
         nonhol_coefficient(a, b, beta, n)
         _outcome(q_subset_decomposition, a, b, beta, n)
         exact_projection_coefficient(a, b, beta, n, table)
-    assert holproj_module._divisor_pairs.cache_info().misses == a
+    assert holproj_module._divisor_walk.cache_info().misses == 1
+    assert walked == [a * n] * (1 + a)
 
 
 def test_argument_errors_win_over_a_cached_undefined_verdict():

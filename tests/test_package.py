@@ -56,9 +56,9 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_info"):
                 found[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
     assert {
-        "hcl.arith.divisors",
+        "hcl.arith.sieve_primes",
         "hcl.holproj._subset_labels",
-        "hcl.holproj._divisor_pairs",
+        "hcl.holproj._divisor_walk",
     } <= found.keys()
     for name, maxsize in found.items():
         assert type(maxsize) is int, (name, maxsize)
