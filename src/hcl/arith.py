@@ -276,17 +276,13 @@ def _sqrt_mod_prime_power(x: int, p: int, e: int) -> list[int]:
 def sqrt_mod(x: int, m: int) -> list[int]:
     """All residues z mod m with z^2 == x (mod m), ascending; empty when none.
 
-    x may be any number of integral value, 4.0 as well as 4; any other x
-    raises TypeError, as does a modulus m that factorize rejects.  Each prime
-    power p^e || m is solved by Hensel lifting from p, and the roots are
-    joined by the CRT.
+    A non-integer x, 4.0 included, raises TypeError, as does a modulus m that
+    factorize rejects.  Each prime power p^e || m is solved by Hensel lifting
+    from p, and the roots are joined by the CRT.
     """
     if m < 1:
         raise ValueError("sqrt_mod expects m >= 1")
-    z = int(x)
-    if z != x:
-        raise TypeError(f"sqrt_mod expects an integral x, got {x!r}")
-    x = z % m
+    x = index(x) % m
     roots: list[int] = [0]
     mod = 1
     for p, e in factorize(m):

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -167,6 +167,13 @@ def enumerate_representations(
     The rows are a lazy read-only sequence over int64 columns computed for the
     whole progression at once; a RepresentationRow is built only when the
     sequence is indexed, sliced or iterated.
+
+    Each column is one closed form.  A sieve writes n = s*f^2, s squarefree:
+    for every prime p <= sqrt(n_max) and p^(2j) <= n_max, g = gcd(a, p^(2j)),
+    no member start + a*k is divisible by p^(2j) when g does not divide start,
+    and otherwise exactly those at k == -(start/g) * (a/g)^-1 (mod p^(2j)/g).
+    f_p = gcd(f, p^k) for the largest p^k <= max(n_max, p), as f_p <= f, and
+    the residue is hecke_factor(f_p, (-D|p), p) mod ell on every row.
     """
     primes = [p for p, _ in factorize(a)]
     start = b if b else a
@@ -179,21 +186,16 @@ def enumerate_representations(
     # n = s * f^2 with s squarefree: divide out p^2 for every p <= sqrt(n_max)
     s, f = n.copy(), np.ones_like(n)
     for p in primes_up_to(isqrt(max(n_max, 0))):
-        q = p * p
-        if a % p:
-            # p^(2j) | start + a*k is one residue class of k mod p^(2j)
-            step = q
-            while step <= n_max:
-                k0 = -start * pow(a, -1, step) % step
-                s[k0::step] //= q
-                f[k0::step] *= p
-                step *= q
-        elif start % p == 0:
-            at = np.flatnonzero(s % q == 0)
-            while at.size:
-                s[at] //= q
-                f[at] *= p
-                at = at[s[at] % q == 0]
+        step = q = p * p
+        while step <= n_max:
+            g = gcd(a, step)  # without g | start no member is divisible by p^(2j) or above
+            if start % g:
+                break
+            stride = step // g
+            k0 = -(start // g) * pow(a // g, -1, stride) % stride
+            s[k0::stride] //= q
+            f[k0::stride] *= p
+            step *= q
     r = n % 4
     keep = (r == 0) | (r == 3)
     n, s, f = n[keep], s[keep], f[keep]
@@ -203,22 +205,18 @@ def enumerate_representations(
     f = np.where(odd, f, f // 2)
     local = {}
     for p in primes:
-        fp = np.ones_like(f)
-        at = np.flatnonzero(f % p == 0)
-        while at.size:
-            fp[at] *= p
-            at = at[f[at] % (fp[at] * p) == 0]
+        top = p
+        while top * p <= n_max:
+            top *= p
+        fp = np.gcd(f, top)
         # (-D|p) depends on -D mod 8 at p = 2 and on -D mod p at odd p, so it is
         # evaluated once per residue that occurs
         period = 8 if p == 2 else p
         seen, at = np.unique(-D % period, return_inverse=True)
         kr = np.array([kronecker(r, p) for r in seen.tolist()], dtype=np.int64)[at]
-        residue = None
-        if ell:
-            # f_p > 1 forces p^2 <= f_p * p <= f^2 <= n_max, so no product overflows
-            residue = np.full_like(f, 1 % ell)
-            at = np.flatnonzero(fp > 1)
-            residue[at] = hecke_factor(fp[at], kr[at], p) % ell
+        # at f_p = 1 the factor is 1 and f_p * p = p <= a < 2^63; at f_p > 1,
+        # f_p * p <= f_p^2 <= f^2 <= n_max: no product overflows int64
+        residue = hecke_factor(fp, kr, p) % ell if ell else None
         local[p] = (fp, kr, residue)
     return _Representations(n, D, f, local)
 

@@ -28,7 +28,8 @@ the same a*n, so a bounded cache holds the walk and each (a, a*n) is walked
 once.  `exact_projection_coefficient` needs one beta at one a*n, once, and
 sums its theta total in its own pass over the same pairs (`_theta_total`).
 
-All values are exact integers or rationals.
+Every argument is an integer, a float raising TypeError, and all values are
+exact integers or rationals.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import index
 from types import MappingProxyType
 
 import numpy as np
@@ -59,14 +61,14 @@ __all__ = [
 
 
 def _check_a_n(a: int, n: int, n_min: int) -> None:
-    """The rule a >= 1 and n >= n_min of every closed form."""
-    if a < 1 or n < n_min:
+    """The rule of every closed form: integers a >= 1 and n >= n_min."""
+    if index(a) < 1 or index(n) < n_min:
         raise ValueError(f"need a >= 1 and n >= {n_min}")
 
 
 def _check_root(a: int, b: int, beta: int) -> None:
-    """The rule that beta is a square root of -b mod a."""
-    if (beta * beta + b) % a:
+    """The rule that the integer beta is a square root of the integer -b mod a."""
+    if (index(beta) ** 2 + index(b)) % index(a):
         raise ValueError(f"beta^2 must be == -b (mod {a})")
 
 
@@ -85,6 +87,7 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
     the second sum as S[beta_tilde] + S[-beta_tilde].
     """
     _check_a_n(a, n, 0)
+    beta_tilde, beta = index(beta_tilde), index(beta)
     an = a * n
     total = 0
     if beta_tilde % a == 0 and an > 0:
@@ -101,7 +104,7 @@ def proj_theta_product(a: int, beta_tilde: int, beta: int, n: int) -> int:
     return -4 * total
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _divisor_walk(a: int, an: int) -> MappingProxyType[int, int]:
     """One walk over a*n = e*f with e < f that sums the closed forms at every
     beta mod a, in one flat map, read-only as every caller shares it.  With
@@ -129,8 +132,7 @@ def _divisor_walk(a: int, an: int) -> MappingProxyType[int, int]:
     The `holproj` benchmark sweep runs a, then beta, then n <= 200, so the
     walk is reused across beta only while the cache holds one a's 200 values
     of a*n: at 256 entries each of the 5,621 (a, a*n) of its 81,079 tuples is
-    walked once.  typed=True keeps an entry walked for an int a*n from
-    answering a float one, which divisors rejects.
+    walked once.
     """
     sums: dict[int, int] = {}
     inv2 = (a + 1) // 2  # 2^-1 mod an odd a
@@ -239,7 +241,7 @@ class QSubsetDecomposition:
         return -(s // 2)
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
 def _subset_labels(a: int, b: int, beta: int) -> tuple[tuple[int, frozenset], ...] | str:
     """Each square root beta_tilde of -b mod a with the subset of the primes of
     a at which it is == beta, or, when the subset decomposition is undefined,
@@ -249,8 +251,7 @@ def _subset_labels(a: int, b: int, beta: int) -> tuple[tuple[int, frozenset], ..
     in a row: in the `holproj` benchmark sweep 80,663 of 81,079 calls hit,
     at any maxsize from 4 to 1024.  16 leaves room for callers that
     interleave a few (a, b, beta).  The message is returned, not raised,
-    because lru_cache stores no exception.  typed=True keeps 0 and 0.0 apart,
-    as the message prints them verbatim.
+    because lru_cache stores no exception.
     """
     roots = sqrt_mod(-b, a)
     prime_powers = [(p, p**e) for p, e in factorize(a)]

@@ -43,6 +43,10 @@ class Mutant:
 
 _FORKED = "tests/test_hurwitz.py::test_forked_build_"
 _LANES = "tests/test_hurwitz.py::test_row_lanes_flush_before_they_pass_the_bound"
+_ROW_ORACLES = (
+    "tests/test_dichotomy.py::test_enumerate_matches_row_oracle",
+    "tests/test_dichotomy.py::test_classify_matches_row_oracle",
+)
 
 MUTANTS = (
     Mutant(
@@ -249,6 +253,53 @@ MUTANTS = (
         (
             "tests/test_acceptance.py::test_05_dichotomy_classification",
             "tests/test_dichotomy.py::test_enumerate_matches_row_oracle",
+        ),
+    ),
+    Mutant(
+        "sieve stride p^(2j), not p^(2j)/g",
+        "src/hcl/dichotomy.py",
+        "            stride = step // g\n",
+        "            stride = step\n",
+        _ROW_ORACLES,
+    ),
+    Mutant(
+        "sieve step taken when g does not divide start",
+        "src/hcl/dichotomy.py",
+        "            if start % g:\n                break\n",
+        "",
+        _ROW_ORACLES,
+    ),
+    Mutant(
+        "sieve offset from start, not start/g",
+        "src/hcl/dichotomy.py",
+        "k0 = -(start // g) * pow(",
+        "k0 = -start * pow(",
+        # classify's valuation rule leaves ord_p(b) < ord_p(a), so g | start only at
+        # g = p^(2j), where the stride is 1: no classify input tells the two apart
+        ("tests/test_dichotomy.py::test_enumerate_matches_row_oracle",),
+    ),
+    Mutant(
+        "f_p read as gcd(f, p)",
+        "src/hcl/dichotomy.py",
+        "fp = np.gcd(f, top)",
+        "fp = np.gcd(f, p)",
+        _ROW_ORACLES,
+    ),
+    Mutant(
+        "Hecke residue not reduced mod ell",
+        "src/hcl/dichotomy.py",
+        "residue = hecke_factor(fp, kr, p) % ell if ell else None",
+        "residue = hecke_factor(fp, kr, p) if ell else None",
+        _ROW_ORACLES,
+    ),
+    Mutant(
+        "root rule takes a float b or beta",
+        "src/hcl/holproj.py",
+        "if (index(beta) ** 2 + index(b)) % index(a):",
+        "if (beta**2 + b) % a:",
+        (
+            "tests/test_holproj.py::test_shared_walk_matches_the_per_call_walks",
+            "tests/test_holproj.py::test_divisor_cache_changes_no_closed_form",
         ),
     ),
     Mutant(

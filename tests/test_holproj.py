@@ -135,7 +135,8 @@ def test_pair_walk_matches_per_root_sums():
 def test_shared_walk_matches_the_per_call_walks():
     # every closed form reads one cached walk per (a, a*n) for every beta;
     # each value equals the per-call walk it replaced and the brute-force
-    # scan, at every root and at unnormalised and float spellings of beta.
+    # scan, at every root and at unnormalised spellings of beta; a float
+    # spelling of beta raises TypeError from every form.
     # n = 0 leaves only the sign enumeration, and n = 6, 30 make
     # a*n == 2 (mod 4) at odd a
     for a in range(1, 40):
@@ -154,7 +155,12 @@ def test_shared_walk_matches_the_per_call_walks():
             for beta in range(a):
                 b = -beta * beta % a
                 roots = oracles.sqrt_mod_brute(-b, a)
-                for s in (beta, beta + a, -beta, float(beta)):
+                with pytest.raises(TypeError):
+                    proj_theta_product(a, roots[0], float(beta), n)
+                for fn in (nonhol_coefficient, q_subset_decomposition) if n else ():
+                    with pytest.raises(TypeError):
+                        fn(a, b, float(beta), n)
+                for s in (beta, beta + a, -beta):
                     where = (a, b, s, n)
                     for bt in roots:
                         got = proj_theta_product(a, bt, s, n)
@@ -590,7 +596,7 @@ def _outcome(fn, *args):
     """fn's result, or its exception's type and message."""
     try:
         return fn(*args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, TypeError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -603,7 +609,8 @@ def _closed_forms(table, before_each):
     """Every closed form at every (a, beta), a < 40, b = -beta^2 mod a, on a few n.
     Each form also takes unnormalised spellings of (b, beta): the subset
     split's cache is keyed on the raw arguments, and its messages print them
-    verbatim; the shared divisor walk is keyed on (a, a*n), typed."""
+    verbatim; the shared divisor walk is keyed on (a, a*n).  Float spellings
+    raise TypeError, and no other spelling does."""
     out = []
     for a in range(1, 40):
         for beta in range(a):
@@ -625,7 +632,10 @@ def _closed_forms(table, before_each):
                     (exact_projection_coefficient, (a, b, beta, n, table)),
                 ]:
                     before_each()
-                    out.append(_outcome(fn, *args))
+                    got = _outcome(fn, *args)
+                    rejected = type(got) is tuple and got[0] == "TypeError"
+                    assert rejected == any(isinstance(x, float) for x in args), (fn, args)
+                    out.append(got)
     return out
 
 
@@ -639,6 +649,23 @@ def test_divisor_cache_changes_no_closed_form():
     assert {"_subset_labels", "_divisor_walk"} <= caches.keys()
     _clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
+
+
+@pytest.mark.parametrize("n", [0, 2, 6, 7])
+def test_closed_forms_take_integers_only(n):
+    # a float a or n raises TypeError from the argument rules themselves: at
+    # n = 0, 2 and 6, a*n is 0 or == 2 (mod 4) at a = 5, and no divisor walk runs
+    table = build_table(35)
+    a, b, beta = 5, 4, 1
+    for sa, sn in ((float(a), n), (a, float(n))):
+        for fn, args in [
+            (proj_theta_product, (sa, beta, beta, sn)),
+            (nonhol_coefficient, (sa, b, beta, sn)),
+            (q_subset_decomposition, (sa, b, beta, sn)),
+            (exact_projection_coefficient, (sa, b, beta, sn, table)),
+        ]:
+            with pytest.raises(TypeError):
+                fn(*args)
 
 
 def test_closed_forms_share_one_divisor_walk_per_an(monkeypatch):

@@ -447,6 +447,10 @@ def _damage(kind, values):
         lines[1:] = [f"{D}".encode() for D in range(len(values))]
     elif kind == "extra column":
         lines[1:] = [line + b",0" for line in lines[1:]]
+    elif kind == "header only":
+        del lines[1:]
+    elif kind == "12H(0) edited":
+        _edit_row(lines, 0, 0)
     return b"".join(line + b"\r\n" for line in lines)
 
 
@@ -459,6 +463,8 @@ DAMAGES = {  # kind -> the defect the reader must name
     "missing D row": "row 1235 holds D = 1235",
     "one column": "malformed row: expected 2 columns, got 1",
     "extra column": "malformed row: expected 2 columns, got 3",
+    "header only": "table cache has no rows",
+    "12H(0) edited": r"12\*H\(0\) = 0, expected -1",
 }
 
 

@@ -2,7 +2,8 @@
 `hcl.<module>.<name>`, and no attribute of `hcl` shadows a submodule.  A
 module's `__all__` lists exactly what it defines in public.  Every memo cache in
 the package is bounded, and no other module-level value grows with use.  The
-README's library quick tour runs as written."""
+README's library quick tour runs as written.  Each argument rule raises its
+ValueError with its own message."""
 
 import importlib
 import os
@@ -11,7 +12,10 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import hcl
+from hcl import arith, holproj, hurwitz
 
 SUBMODULES = ("arith", "hurwitz", "congruence", "dichotomy", "holproj", "qseries", "cli")
 
@@ -106,3 +110,28 @@ def test_readme_quick_tour_runs():
     block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", text, re.S)
     assert block, "README has no library quick tour"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+
+ARGUMENT_RULES = [
+    (arith.next_prime_in_class, (1, 0, 0), "modulus must be positive"),
+    (arith.ord_p, (0, 3), "ord_p(0, p) is undefined"),
+    (arith.p_part, (0, 3), "p_part expects n >= 1"),
+    (arith.kronecker, (5, 0), "kronecker expects n >= 1"),
+    (arith.sqrt_mod, (4, 0), "sqrt_mod expects m >= 1"),
+    (hurwitz.hurwitz, (-1,), "hurwitz expects D >= 0"),
+    (hurwitz.hurwitz_via_formula, (3, 0), "f must be a positive integer"),
+    (hurwitz.build_table, (-1,), "n_max must be >= 0"),
+    (holproj.subprogression_construct, (0, 0, 1), "a_tilde must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    ARGUMENT_RULES,
+    ids=[f"{fn.__name__}({', '.join(map(str, args))})" for fn, args, _ in ARGUMENT_RULES],
+)
+def test_argument_rules_raise_their_messages(fn, args, message):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
